@@ -554,7 +554,8 @@ func profileBlock(ctx context.Context, c *logic.Circuit, b partition.Block, colW
 		ColWeights: colWeights,
 		TauSweep:   cfg.TauSweep,
 	}
-	synthOpts := synth.Options{Exact: cfg.SynthExact}
+	// One memo for all degrees: their B columns keep recurring.
+	sy := synth.New(synth.Options{Exact: cfg.SynthExact})
 	for f := 1; f <= maxF; f++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -571,7 +572,7 @@ func profileBlock(ctx context.Context, c *logic.Circuit, b partition.Block, colW
 			if err != nil {
 				return nil, err
 			}
-			blkImpl, err = synth.ApproxBlock(name, fr, cfg.Semiring, synthOpts)
+			blkImpl, err = sy.ApproxBlock(name, fr, cfg.Semiring)
 			if err != nil {
 				return nil, err
 			}

@@ -91,21 +91,54 @@ func (c Cube) PLA(nvars int) string {
 }
 
 // Bitvec returns the coverage of the cube as a truth table over nvars
-// variables: entry r is 1 iff the cube covers r. Computed by intersecting
-// variable masks, O(2^nvars / 64) per literal.
+// variables: entry r is 1 iff the cube covers r. Computed a word at a time
+// from the cube's word mask.
 func (c Cube) Bitvec(nvars int) *tt.Table {
 	t := tt.NewTable(nvars)
-	// Start from all-ones.
-	t = t.Not()
-	for v := 0; v < nvars; v++ {
-		bit := uint32(1) << uint(v)
-		if c.Pos&bit != 0 {
-			t = t.And(tt.Var(nvars, v))
-		} else if c.Neg&bit != 0 {
-			t = t.And(tt.Var(nvars, v).Not())
-		}
+	m := c.wordMask(nvars)
+	words := t.Words()
+	for wi := range words {
+		words[wi] = m.at(wi)
 	}
 	return t
+}
+
+// wordMask is a cube's coverage of a truth table in word-level form. Word wi
+// of the coverage is low when wi's bits agree with the cube's literals on
+// variables 6 and up (hiPos must be set, hiNeg clear), and 0 otherwise: the
+// variables below 6 index bits within a word, the rest index words.
+type wordMask struct {
+	low          uint64
+	hiPos, hiNeg int
+}
+
+// wordMask returns the cube's word mask over nvars variables. low is the AND
+// of the cube's literal patterns on variables 0..5, so for nvars < 6 it may
+// have bits set above 2^nvars; AND it with masked words to count coverage.
+// A variable with both literals (a contradictory cube, never stored in a
+// cover) constrains as positive.
+func (c Cube) wordMask(nvars int) wordMask {
+	vars := uint32(1)<<uint(nvars) - 1
+	pos := c.Pos & vars
+	neg := c.Neg &^ c.Pos & vars
+	low := ^uint64(0)
+	for v := 0; v < 6; v++ {
+		switch {
+		case pos>>uint(v)&1 != 0:
+			low &= tt.VarWord(v)
+		case neg>>uint(v)&1 != 0:
+			low &^= tt.VarWord(v)
+		}
+	}
+	return wordMask{low: low, hiPos: int(pos >> 6), hiNeg: int(neg >> 6)}
+}
+
+// at returns the coverage word wi.
+func (m wordMask) at(wi int) uint64 {
+	if wi&m.hiPos != m.hiPos || wi&m.hiNeg != 0 {
+		return 0
+	}
+	return m.low
 }
 
 // Cover is a set of cubes interpreted as their OR.
@@ -117,8 +150,12 @@ type Cover struct {
 // Bitvec returns the union coverage of all cubes.
 func (cv *Cover) Bitvec() *tt.Table {
 	t := tt.NewTable(cv.NumVars)
+	words := t.Words()
 	for _, c := range cv.Cubes {
-		t = t.Or(c.Bitvec(cv.NumVars))
+		m := c.wordMask(cv.NumVars)
+		for wi := range words {
+			words[wi] |= m.at(wi)
+		}
 	}
 	return t
 }

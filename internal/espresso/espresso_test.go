@@ -65,7 +65,7 @@ func TestMinimizeCorrectness(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		nvars := 1 + rng.Intn(9)
 		on := randomTable(rng, nvars, rng.Float64())
-		cv := Minimize(on, nil, Options{})
+		cv := Minimize(on, nil)
 		if !cv.Bitvec().Equal(on) {
 			t.Fatalf("trial %d (nvars=%d): cover does not equal function\non:  %v\ngot: %v\ncover:\n%v",
 				trial, nvars, on, cv.Bitvec(), cv)
@@ -79,12 +79,12 @@ func TestMinimizeWithDontCares(t *testing.T) {
 		nvars := 2 + rng.Intn(7)
 		on := randomTable(rng, nvars, 0.3)
 		dc := randomTable(rng, nvars, 0.3).And(on.Not()) // disjoint from ON
-		cv := Minimize(on, dc, Options{})
+		cv := Minimize(on, dc)
 		if err := cv.Verify(on, dc); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// The DC-relaxed cover must be no larger than the strict cover.
-		strict := Minimize(on, nil, Options{})
+		strict := Minimize(on, nil)
 		if len(cv.Cubes) > len(strict.Cubes) {
 			t.Errorf("trial %d: DC cover has %d cubes, strict %d", trial, len(cv.Cubes), len(strict.Cubes))
 		}
@@ -93,17 +93,17 @@ func TestMinimizeWithDontCares(t *testing.T) {
 
 func TestMinimizeDegenerate(t *testing.T) {
 	zero := tt.NewTable(4)
-	if cv := Minimize(zero, nil, Options{}); len(cv.Cubes) != 0 {
+	if cv := Minimize(zero, nil); len(cv.Cubes) != 0 {
 		t.Errorf("constant-0 cover has %d cubes", len(cv.Cubes))
 	}
 	one := zero.Not()
-	cv := Minimize(one, nil, Options{})
+	cv := Minimize(one, nil)
 	if len(cv.Cubes) != 1 || cv.Cubes[0] != FullCube {
 		t.Errorf("constant-1 cover = %v", cv)
 	}
 	// Single variable function.
 	x2 := tt.Var(5, 2)
-	cv = Minimize(x2, nil, Options{})
+	cv = Minimize(x2, nil)
 	if len(cv.Cubes) != 1 || cv.Cubes[0].NumLiterals() != 1 {
 		t.Errorf("projection cover = %v", cv)
 	}
@@ -119,7 +119,7 @@ func TestMinimizeXorWorstCase(t *testing.T) {
 				on.Set(r, true)
 			}
 		}
-		cv := Minimize(on, nil, Options{})
+		cv := Minimize(on, nil)
 		if !cv.Bitvec().Equal(on) {
 			t.Fatalf("nvars=%d: XOR cover incorrect", nvars)
 		}
@@ -144,7 +144,7 @@ func TestMinimizeKnownFunction(t *testing.T) {
 	// 2 cubes; the consensus term b·c is redundant.
 	a, b, c := tt.Var(3, 0), tt.Var(3, 1), tt.Var(3, 2)
 	f := a.And(b).Or(a.Not().And(c))
-	cv := Minimize(f, nil, Options{})
+	cv := Minimize(f, nil)
 	if !cv.Bitvec().Equal(f) {
 		t.Fatal("incorrect cover")
 	}
@@ -165,7 +165,7 @@ func TestMinimizeExactMatchesHeuristicQuality(t *testing.T) {
 		if !exact.Bitvec().Equal(on) {
 			t.Fatalf("trial %d: exact cover incorrect", trial)
 		}
-		heur := Minimize(on, nil, Options{})
+		heur := Minimize(on, nil)
 		if len(heur.Cubes) < len(exact.Cubes) {
 			t.Errorf("trial %d: heuristic (%d cubes) beat 'exact' (%d cubes) — exact solver is broken",
 				trial, len(heur.Cubes), len(exact.Cubes))
@@ -198,7 +198,7 @@ func TestMinimizeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nvars := 1 + rng.Intn(8)
 		on := randomTable(rng, nvars, rng.Float64())
-		cv := Minimize(on, nil, Options{})
+		cv := Minimize(on, nil)
 		if !cv.Bitvec().Equal(on) {
 			return false
 		}

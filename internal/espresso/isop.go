@@ -8,65 +8,136 @@ import "github.com/blasys-go/blasys/internal/tt"
 // irredundant cover of prime-ish cubes; Minimize uses it as the initial
 // cover for functions with many minterms.
 //
-// The recursion computes a cover F with on ⊆ F ⊆ on ∪ dc.
+// The recursion computes a cover F with on ⊆ F ⊆ on ∪ dc. It runs on packed
+// words with the bits above 2^nvars cleared, drawing its temporaries from a
+// free list: a call allocates eight word slices per level of recursion
+// depth, not per recursive call.
 func ISOP(on, dc *tt.Table) *Cover {
 	nvars := on.NumVars()
-	upper := on.Clone()
-	if dc != nil {
-		upper = on.Or(dc)
+	s := &isop{nvars: nvars, nw: len(on.Words()), one: tt.ValidBits(nvars)}
+	lower, upper, cover := s.get(), s.get(), s.get()
+	for i, x := range on.Words() {
+		lower[i], upper[i] = x&s.one, x&s.one
+		if dc != nil {
+			upper[i] |= dc.Words()[i] & s.one
+		}
 	}
-	cv := &Cover{NumVars: nvars}
-	cubes, _ := isopRec(on, upper, nvars-1)
-	cv.Cubes = cubes
-	return cv
+	return &Cover{NumVars: nvars, Cubes: s.rec(nil, lower, upper, nvars-1, cover)}
 }
 
-// isopRec returns a cover of (lower, upper) using variables [0, v] and the
-// coverage table of the returned cover.
-func isopRec(lower, upper *tt.Table, v int) ([]Cube, *tt.Table) {
-	nvars := lower.NumVars()
-	if lower.CountOnes() == 0 {
-		return nil, tt.NewTable(nvars)
+// isop is the state of one ISOP call: the table shape and a free list of
+// word slices for the recursion's temporaries.
+type isop struct {
+	nvars, nw int
+	one       uint64 // the constant-1 value of every word
+	free      [][]uint64
+}
+
+func (s *isop) get() []uint64 {
+	if n := len(s.free); n > 0 {
+		w := s.free[n-1]
+		s.free = s.free[:n-1]
+		return w
 	}
-	if isConstOne(upper) {
+	return make([]uint64, s.nw)
+}
+
+func (s *isop) put(ws ...[]uint64) { s.free = append(s.free, ws...) }
+
+// rec appends to out a cover of (lower, upper) using variables [0, v] and
+// writes the cover's coverage into cover.
+func (s *isop) rec(out []Cube, lower, upper []uint64, v int, cover []uint64) []Cube {
+	if isZero(lower) {
+		clear(cover)
+		return out
+	}
+	if s.isOne(upper) {
 		// upper is the constant-1 function: the full cube suffices.
-		return []Cube{FullCube}, tt.NewTable(nvars).Not()
+		s.fillOne(cover)
+		return append(out, FullCube)
 	}
 	// Find the top variable that lower or upper actually depends on.
-	for v >= 0 && !lower.DependsOn(v) && !upper.DependsOn(v) {
+	for v >= 0 && !tt.DependsOnWords(lower, s.nvars, v) && !tt.DependsOnWords(upper, s.nvars, v) {
 		v--
 	}
 	if v < 0 {
 		// No dependence and lower nonzero: upper must be constant 1,
 		// handled above; reaching here means lower ⊆ upper = 1.
-		return []Cube{FullCube}, tt.NewTable(nvars).Not()
+		s.fillOne(cover)
+		return append(out, FullCube)
 	}
 
-	l0, l1 := lower.Cofactor(v, false), lower.Cofactor(v, true)
-	u0, u1 := upper.Cofactor(v, false), upper.Cofactor(v, true)
+	l0, l1, u0, u1 := s.get(), s.get(), s.get(), s.get()
+	tt.CofactorWords(l0, lower, v, false)
+	tt.CofactorWords(l1, lower, v, true)
+	tt.CofactorWords(u0, upper, v, false)
+	tt.CofactorWords(u1, upper, v, true)
+	t, cov0, cov1, covd := s.get(), s.get(), s.get(), s.get()
 
 	// Cubes that must contain literal ¬x_v: cover of (l0 \ u1, u0).
-	c0, cov0 := isopRec(l0.And(u1.Not()), u0, v-1)
+	for i := range t {
+		t[i] = l0[i] &^ u1[i]
+	}
+	n0 := len(out)
+	out = s.rec(out, t, u0, v-1, cov0)
+	for i := n0; i < len(out); i++ {
+		out[i] = out[i].WithLiteral(v, false)
+	}
 	// Cubes that must contain literal x_v: cover of (l1 \ u0, u1).
-	c1, cov1 := isopRec(l1.And(u0.Not()), u1, v-1)
+	for i := range t {
+		t[i] = l1[i] &^ u0[i]
+	}
+	n1 := len(out)
+	out = s.rec(out, t, u1, v-1, cov1)
+	for i := n1; i < len(out); i++ {
+		out[i] = out[i].WithLiteral(v, true)
+	}
 	// Remaining minterms, coverable without x_v.
-	lr := l0.And(cov0.Not()).Or(l1.And(cov1.Not()))
-	cd, covd := isopRec(lr, u0.And(u1), v-1)
+	for i := range t {
+		t[i] = l0[i]&^cov0[i] | l1[i]&^cov1[i]
+		u0[i] &= u1[i]
+	}
+	out = s.rec(out, t, u0, v-1, covd)
 
-	xv := tt.Var(nvars, v)
-	var out []Cube
-	for _, c := range c0 {
-		out = append(out, c.WithLiteral(v, false))
+	for i := range cover {
+		xv := wordOfVar(v, i)
+		cover[i] = cov0[i]&^xv | cov1[i]&xv | covd[i]
 	}
-	for _, c := range c1 {
-		out = append(out, c.WithLiteral(v, true))
-	}
-	out = append(out, cd...)
-	cover := cov0.And(xv.Not()).Or(cov1.And(xv)).Or(covd)
-	return out, cover
+	s.put(l0, l1, u0, u1, t, cov0, cov1, covd)
+	return out
 }
 
-// isConstOne reports whether t is the constant-1 function.
-func isConstOne(t *tt.Table) bool {
-	return t.CountOnes() == t.Len()
+func (s *isop) isOne(ws []uint64) bool {
+	for _, x := range ws {
+		if x != s.one {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *isop) fillOne(ws []uint64) {
+	for i := range ws {
+		ws[i] = s.one
+	}
+}
+
+func isZero(ws []uint64) bool {
+	for _, x := range ws {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// wordOfVar returns word wi of the projection x_v.
+func wordOfVar(v, wi int) uint64 {
+	if v < 6 {
+		return tt.VarWord(v)
+	}
+	if wi>>uint(v-6)&1 != 0 {
+		return ^uint64(0)
+	}
+	return 0
 }

@@ -74,7 +74,7 @@ func TestMinimizeLargeOnSetUsesISOPPath(t *testing.T) {
 	// exercises the ISOP seeding path in Minimize).
 	rng := rand.New(rand.NewSource(14))
 	on := randomTable(rng, 10, 0.7)
-	cv := Minimize(on, nil, Options{})
+	cv := Minimize(on, nil)
 	if !cv.Bitvec().Equal(on) {
 		t.Fatal("minimized cover differs from function")
 	}

@@ -62,7 +62,10 @@ func MinimizeExact(on, dc *tt.Table) (*Cover, error) {
 }
 
 // primeImplicants generates all prime implicants of the care function via
-// iterative cube merging (classic QM, with cube dedup at each level).
+// iterative cube merging (classic QM, with cube dedup at each level). The
+// merging ranges over maps, so the primes are sorted by (Pos, Neg) before
+// they are returned: the covering steps break ties by prime index, and an
+// unsorted list would make the chosen cover vary from call to call.
 func primeImplicants(nvars int, care *tt.Table) []Cube {
 	cur := make(map[Cube]bool)
 	for r := 0; r < care.Len(); r++ {
@@ -103,7 +106,14 @@ func primeImplicants(nvars int, care *tt.Table) []Cube {
 		}
 		cur = next
 	}
-	return dedupCubes(primes)
+	primes = dedupCubes(primes)
+	sort.Slice(primes, func(i, j int) bool {
+		if primes[i].Pos != primes[j].Pos {
+			return primes[i].Pos < primes[j].Pos
+		}
+		return primes[i].Neg < primes[j].Neg
+	})
+	return primes
 }
 
 func dedupCubes(cs []Cube) []Cube {

@@ -9,9 +9,14 @@
 //     the B factor synthesized as a k-input/f-output circuit and the C
 //     factor wired as OR (or XOR) gates combining the f intermediate
 //     signals into m outputs.
+//
+// A Synthesizer does the same with a memo of minimized covers, so that
+// functions recurring across calls (the B columns of one block's
+// factorizations at successive degrees) are minimized once.
 package synth
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/blasys-go/blasys/internal/bmf"
@@ -36,6 +41,24 @@ type Options struct {
 // recovers the multi-level structure a full synthesis tool would find.
 const shannonCubeLimit = 12
 
+// Synthesizer synthesizes truth tables with fixed Options and memoizes every
+// minimized cover by its function, so a function that recurs (as a B column
+// at several factorization degrees, a cofactor, or a complement) is
+// minimized once. The memo only grows; its covers are never mutated, and
+// netlists are identical to those of the package-level functions. A
+// Synthesizer is not safe for concurrent use: give each goroutine its own,
+// scoped to the work whose functions recur (one block's profile).
+type Synthesizer struct {
+	opt    Options
+	covers map[string]*espresso.Cover
+	key    []byte // reused buffer for memo keys
+}
+
+// New returns a Synthesizer with an empty memo.
+func New(opt Options) *Synthesizer {
+	return &Synthesizer{opt: opt, covers: make(map[string]*espresso.Cover)}
+}
+
 // FromTable synthesizes the function given by table over the input nodes
 // vars (vars[i] is table variable i) into builder b, returning the output
 // node. dc may be nil; its minterms are free to take either value.
@@ -44,6 +67,12 @@ const shannonCubeLimit = 12
 // the rest is realized as a minimized SOP in whichever phase is cheaper,
 // and functions whose covers stay large are split with Shannon expansion.
 func FromTable(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID, opt Options) logic.NodeID {
+	return New(opt).FromTable(b, table, dc, vars)
+}
+
+// FromTable is the package-level FromTable with the Synthesizer's options
+// and memo.
+func (s *Synthesizer) FromTable(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID) logic.NodeID {
 	if len(vars) != table.NumVars() {
 		panic(fmt.Sprintf("synth: FromTable: %d vars for %d-variable table", len(vars), table.NumVars()))
 	}
@@ -58,21 +87,21 @@ func FromTable(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID, opt O
 		for v := 0; v < table.NumVars(); v++ {
 			c0 := table.Cofactor(v, false)
 			if c0.Equal(table.Cofactor(v, true).Not()) {
-				rest := FromTable(b, c0, nil, vars, opt)
+				rest := s.FromTable(b, c0, nil, vars)
 				return b.Xor(vars[v], rest)
 			}
 		}
 	}
 
-	pos := minimize(table, dc, opt)
-	if opt.KeepPhase {
+	pos := s.minimize(table, dc)
+	if s.opt.KeepPhase {
 		return coverToGates(b, pos, vars)
 	}
 	negOn := table.Not()
 	if dc != nil {
 		negOn = negOn.And(dc.Not())
 	}
-	neg := minimize(negOn, dc, opt)
+	neg := s.minimize(negOn, dc)
 
 	best, negate := pos, false
 	if gateCost(neg)+1 < gateCost(pos) {
@@ -80,7 +109,7 @@ func FromTable(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID, opt O
 	}
 	if len(best.Cubes) > shannonCubeLimit {
 		// Shannon fallback: split on the most influential variable.
-		if out, ok := shannonSplit(b, table, dc, vars, opt); ok {
+		if out, ok := s.shannonSplit(b, table, dc, vars); ok {
 			return out
 		}
 	}
@@ -94,7 +123,7 @@ func FromTable(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID, opt O
 // shannonSplit realizes f = MUX(x_v, f|x_v=0, f|x_v=1) on the variable whose
 // cofactors differ the most. Returns ok=false when no variable splits (no
 // support).
-func shannonSplit(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID, opt Options) (logic.NodeID, bool) {
+func (s *Synthesizer) shannonSplit(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID) (logic.NodeID, bool) {
 	bestV, bestDiff := -1, -1
 	for v := 0; v < table.NumVars(); v++ {
 		d := table.Cofactor(v, false).HammingDistance(table.Cofactor(v, true))
@@ -110,8 +139,8 @@ func shannonSplit(b *logic.Builder, table, dc *tt.Table, vars []logic.NodeID, op
 		dc0 = dc.Cofactor(bestV, false)
 		dc1 = dc.Cofactor(bestV, true)
 	}
-	f0 := FromTable(b, table.Cofactor(bestV, false), dc0, vars, opt)
-	f1 := FromTable(b, table.Cofactor(bestV, true), dc1, vars, opt)
+	f0 := s.FromTable(b, table.Cofactor(bestV, false), dc0, vars)
+	f1 := s.FromTable(b, table.Cofactor(bestV, true), dc1, vars)
 	return b.Mux(vars[bestV], f0, f1), true
 }
 
@@ -153,6 +182,35 @@ func constUnderDC(on, dc *tt.Table) (isConst, value bool) {
 	return false, false
 }
 
+// minimize returns the memoized cover of (on, dc), minimizing it on a miss.
+// The key is the variable count and the ON and don't-care words with the
+// bits above 2^n cleared; a nil dc keys as all-zero, which minimizes the
+// same.
+func (s *Synthesizer) minimize(on, dc *tt.Table) *espresso.Cover {
+	n := on.NumVars()
+	valid := tt.ValidBits(n)
+	k := append(s.key[:0], byte(n))
+	for _, w := range on.Words() {
+		k = binary.LittleEndian.AppendUint64(k, w&valid)
+	}
+	if dc != nil {
+		for _, w := range dc.Words() {
+			k = binary.LittleEndian.AppendUint64(k, w&valid)
+		}
+	} else {
+		for range on.Words() {
+			k = binary.LittleEndian.AppendUint64(k, 0)
+		}
+	}
+	s.key = k
+	if cv, ok := s.covers[string(k)]; ok {
+		return cv
+	}
+	cv := minimize(on, dc, s.opt)
+	s.covers[string(k)] = cv
+	return cv
+}
+
 func minimize(on, dc *tt.Table, opt Options) *espresso.Cover {
 	if opt.Exact && on.NumVars() <= 10 {
 		cv, err := espresso.MinimizeExact(on, dc)
@@ -161,7 +219,7 @@ func minimize(on, dc *tt.Table, opt Options) *espresso.Cover {
 		}
 		// Fall back to the heuristic on error.
 	}
-	return espresso.Minimize(on, dc, espresso.Options{})
+	return espresso.Minimize(on, dc)
 }
 
 // coverToGates lowers a cover to a balanced OR-of-ANDs gate tree.
@@ -195,8 +253,9 @@ func CircuitFromMatrix(name string, M *tt.Matrix, opt Options) (*logic.Circuit, 
 	}
 	b := logic.NewBuilder(name)
 	vars := b.Inputs("x", k)
+	s := New(opt)
 	for j := 0; j < M.Cols; j++ {
-		out := FromTable(b, M.Column(j), nil, vars, opt)
+		out := s.FromTable(b, M.Column(j), nil, vars)
 		b.Output(fmt.Sprintf("y%d", j), out)
 	}
 	return b.C, nil
@@ -207,6 +266,12 @@ func CircuitFromMatrix(name string, M *tt.Matrix, opt Options) (*logic.Circuit, 
 // decompressor combining the f compressor outputs into m outputs with OR
 // gates (bmf.Or semiring) or XOR gates (bmf.Xor).
 func ApproxBlock(name string, res *bmf.Result, sr bmf.Semiring, opt Options) (*logic.Circuit, error) {
+	return New(opt).ApproxBlock(name, res, sr)
+}
+
+// ApproxBlock is the package-level ApproxBlock with the Synthesizer's
+// options and memo.
+func (s *Synthesizer) ApproxBlock(name string, res *bmf.Result, sr bmf.Semiring) (*logic.Circuit, error) {
 	k, err := matrixVars(res.B)
 	if err != nil {
 		return nil, err
@@ -221,7 +286,7 @@ func ApproxBlock(name string, res *bmf.Result, sr bmf.Semiring, opt Options) (*l
 	// Compressor: one minimized SOP per factor column of B.
 	factors := make([]logic.NodeID, f)
 	for i := 0; i < f; i++ {
-		factors[i] = FromTable(b, res.B.Column(i), nil, vars, opt)
+		factors[i] = s.FromTable(b, res.B.Column(i), nil, vars)
 	}
 	// Decompressor: output j = OR/XOR of factors i with C[i][j] = 1.
 	for j := 0; j < m; j++ {

@@ -57,11 +57,18 @@ func TableFromUint64(nvars int, v uint64) *Table {
 		panic("tt: TableFromUint64 requires nvars <= 6")
 	}
 	t := NewTable(nvars)
-	if t.Len() < 64 {
-		v &= (1 << uint(t.Len())) - 1
-	}
-	t.words[0] = v
+	t.words[0] = v & ValidBits(nvars)
 	return t
+}
+
+// ValidBits returns the bits of a table word that hold entries: all 64 for
+// nvars >= 6, else the low 2^nvars. Bits outside it (set by Not, for
+// instance) are ignored by every query.
+func ValidBits(nvars int) uint64 {
+	if nvars >= 6 {
+		return ^uint64(0)
+	}
+	return 1<<(uint(1)<<uint(nvars)) - 1
 }
 
 func wordsFor(nvars int) int {
@@ -104,7 +111,7 @@ func (t *Table) maskedWords() []uint64 {
 	if t.nvars >= 6 {
 		return t.words
 	}
-	w := t.words[0] & ((1 << uint(t.Len())) - 1)
+	w := t.words[0] & ValidBits(t.nvars)
 	return []uint64{w}
 }
 
@@ -183,6 +190,23 @@ func (t *Table) HammingDistance(o *Table) int {
 	return n
 }
 
+// varWords[i] is the in-word pattern of variable i < 6: bit j is set iff
+// (j>>i)&1 == 1. Every word of a table repeats it, since variables 0..5 index
+// the bits within a word and variables 6 and up index the words.
+var varWords = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
+// VarWord returns the 64-entry word pattern of variable i < 6: bit j is set
+// iff variable i is 1 at in-word assignment j. It equals every word of
+// Var(n, i) for n >= 6.
+func VarWord(i int) uint64 { return varWords[i] }
+
 // Var returns the projection function x_i over nvars variables.
 func Var(nvars, i int) *Table {
 	if i < 0 || i >= nvars {
@@ -190,14 +214,8 @@ func Var(nvars, i int) *Table {
 	}
 	t := NewTable(nvars)
 	if i < 6 {
-		// Pattern repeats within a word: blocks of 2^i ones/zeros.
-		var pat uint64
-		block := uint(1) << uint(i)
-		for b := uint(0); b < 64; b += 2 * block {
-			pat |= ((uint64(1) << block) - 1) << (b + block)
-		}
 		for w := range t.words {
-			t.words[w] = pat
+			t.words[w] = varWords[i]
 		}
 	} else {
 		// Whole words alternate in runs of 2^(i-6).
@@ -213,23 +231,71 @@ func Var(nvars, i int) *Table {
 
 // Cofactor returns the cofactor of t with variable i fixed to val, as a
 // table over the same variable count (variable i becomes don't-care).
+// Entries above 2^nvars (present when nvars < 6) come out cleared.
 func (t *Table) Cofactor(i int, val bool) *Table {
 	c := NewTable(t.nvars)
-	for r := 0; r < t.Len(); r++ {
-		src := r
-		if val {
-			src = r | (1 << uint(i))
-		} else {
-			src = r &^ (1 << uint(i))
-		}
-		c.Set(r, t.Get(src))
-	}
+	CofactorWords(c.words, t.words, i, val)
+	c.words[0] &= ValidBits(t.nvars)
 	return c
 }
 
-// DependsOn reports whether the function actually depends on variable i.
-func (t *Table) DependsOn(i int) bool {
-	return !t.Cofactor(i, false).Equal(t.Cofactor(i, true))
+// CofactorWords writes into dst the words of the cofactor of the table with
+// words src on variable i fixed to val; dst and src have the same length and
+// may be the same slice. It is Cofactor's kernel and works a word at a time.
+// For i < 6 the variable indexes bits within a word: the entries with
+// x_i = val are kept and copied onto their partners, a shift of 2^i away.
+// For i >= 6 it indexes words, which are copied whole. Entries in range stay
+// in range, so words with the bits above 2^nvars clear stay that way.
+func CofactorWords(dst, src []uint64, i int, val bool) {
+	if i >= 6 {
+		run := 1 << uint(i-6)
+		for w := range dst {
+			if val {
+				dst[w] = src[w|run]
+			} else {
+				dst[w] = src[w&^run]
+			}
+		}
+		return
+	}
+	s := uint(1) << uint(i)
+	m := varWords[i]
+	for w, x := range src {
+		if val {
+			x &= m
+			dst[w] = x | x>>s
+		} else {
+			x &^= m
+			dst[w] = x | x<<s
+		}
+	}
+}
+
+// DependsOn reports whether the function actually depends on variable i,
+// i.e. whether its two cofactors on x_i differ.
+func (t *Table) DependsOn(i int) bool { return DependsOnWords(t.words, t.nvars, i) }
+
+// DependsOnWords is DependsOn on the words of an nvars-variable table. It
+// compares the two cofactors in place, without building either.
+func DependsOnWords(words []uint64, nvars, i int) bool {
+	if i >= 6 {
+		run := 1 << uint(i-6)
+		for w, x := range words {
+			if w&run == 0 && x != words[w|run] {
+				return true
+			}
+		}
+		return false
+	}
+	s := uint(1) << uint(i)
+	// Entries with x_i = 0, each compared with its x_i = 1 partner.
+	m := ^varWords[i] & ValidBits(nvars)
+	for _, x := range words {
+		if (x^x>>s)&m != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Support returns the indices of variables the function depends on.
@@ -261,6 +327,8 @@ func (t *Table) String() string {
 }
 
 // Words exposes the packed 64-entry words of the table. The slice aliases
-// the table's storage; callers must not modify it. Word w holds entries
-// [64w, 64w+63] with entry 64w+j in bit j.
+// the table's storage, so writing through it changes the table. Word w holds
+// entries [64w, 64w+63] with entry 64w+j in bit j; for fewer than 6
+// variables, bits above 2^NumVars may be set and are ignored by every
+// query.
 func (t *Table) Words() []uint64 { return t.words }
