@@ -214,6 +214,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A sequence is checked against the circuit it will step: a bad one
+	// would otherwise be accepted and fail only once a worker ran it.
+	if seq := job.Config.Sequence; seq != nil {
+		if err := seq.Validate(job.Circuit); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
+
 	if req.Config.DeadlineMS < 0 {
 		writeError(w, http.StatusBadRequest, "deadline_ms must be >= 0 (got %d)", req.Config.DeadlineMS)
 		return

@@ -222,6 +222,12 @@ func TestServerValidation(t *testing.T) {
 		{"bad blif", map[string]any{"blif": ".model x\n.latch a b\n.end"}, http.StatusBadRequest},
 		{"bad metric", map[string]any{"benchmark": "Fig3", "config": JobConfig{Metric: "nope"}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"benchmark": "Fig3", "bogus": 1}, http.StatusBadRequest},
+		{"sequence steps too large", map[string]any{"benchmark": "SAD", "config": JobConfig{
+			Sequence: &SequenceConfig{Steps: 1 << 20, Feedback: [][2]int{{0, 16}}}}}, http.StatusBadRequest},
+		{"sequence steps too small", map[string]any{"benchmark": "SAD", "config": JobConfig{
+			Sequence: &SequenceConfig{Steps: 1, Feedback: [][2]int{{0, 16}}}}}, http.StatusBadRequest},
+		{"sequence feedback out of range", map[string]any{"benchmark": "Fig3", "config": JobConfig{
+			Sequence: &SequenceConfig{Steps: 8, Feedback: [][2]int{{99, 0}}}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", tc.body)

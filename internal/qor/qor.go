@@ -329,10 +329,6 @@ type batchStats struct {
 	errSamples int64
 	worstRel   float64
 	worstAbs   float64
-	// diffJ/diffD are scratch for the mismatching group bits of the batch
-	// being computed (bit position within the group, and its 64-lane diff).
-	diffJ []uint
-	diffD []uint64
 	// diff is scratch for the masked per-output diff words, computed once in
 	// the hamming pre-pass and reused by the per-group scan.
 	diff []uint64
@@ -356,11 +352,10 @@ func (p *batchStats) reset(nGroups int) {
 }
 
 // computeBatchStats fills p with the batch's statistics. mask selects the
-// valid sample lanes (all ones except possibly the final batch). When rc is
-// non-nil it must be the reference-decode cache built over the same refOut
-// stream, with batch the batch index; the cached path produces bit-identical
-// results to the direct path (same integers, same float operations) while
-// skipping the per-lane reference gather.
+// valid sample lanes (all ones except possibly the final batch). rc must be
+// the reference-decode cache built over the same refOut stream, with batch
+// the batch index: the reference side of every mismatching lane is read from
+// it, and only the candidate side is reconstructed.
 func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *batchStats, rc *refLanes, batch int) {
 	p.reset(len(spec.Groups))
 	if cap(p.diff) < len(out) {
@@ -381,50 +376,37 @@ func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *b
 		return // bit-exact batch: no numeric error either
 	}
 	worstRel, worstAbs := p.worstRel, p.worstAbs
+	vals, dec, dens := rc.vals[batch], rc.dec[batch], rc.den[batch]
+	// flips[lane] collects the group bits that differ in that sample lane.
+	// Every lane loop below consumes and zeroes its entry, so the array is
+	// all zeros again at the start of each group.
+	var flips [64]uint64
 	for gi := range spec.Groups {
 		g := &spec.Groups[gi]
-		// Collect the group bits that mismatch anywhere in the batch —
-		// typically a handful — and their diff words.
-		p.diffJ = p.diffJ[:0]
-		p.diffD = p.diffD[:0]
+		// Scatter each differing bit position's diff word into the per-lane
+		// masks: the work is the group's dirty bit-samples, not dirty lanes
+		// times differing positions.
 		var groupDiff uint64
 		for j, bit := range g.Bits {
-			if d := diff[bit]; d != 0 {
-				p.diffJ = append(p.diffJ, uint(j))
-				p.diffD = append(p.diffD, d)
-				groupDiff |= d
+			d := diff[bit]
+			groupDiff |= d
+			for ; d != 0; d &= d - 1 {
+				flips[bits.TrailingZeros64(d)] |= 1 << uint(j)
 			}
 		}
 		// Local accumulators: each group index is visited exactly once after
 		// reset, so storing the locally-summed values keeps the float add
 		// order (and hence the bits) identical to accumulating in place.
-		diffJ, diffD := p.diffJ, p.diffD
 		var sumAbs, sumSq, sumRel float64
 		for lanes := groupDiff; lanes != 0; lanes &= lanes - 1 {
-			lane := uint(bits.TrailingZeros64(lanes))
-			var rv, den float64
-			var rvInt uint64
-			if rc != nil {
-				idx := gi*64 + int(lane)
-				rvInt = rc.vals[batch][idx]
-				rv = rc.dec[batch][idx]
-				den = rc.den[batch][idx]
-			} else {
-				rvInt = decodeInt(refOut, g, lane)
-				rv = groupFloat(g, rvInt)
-				den = math.Max(math.Abs(rv), 1)
-			}
+			lane := bits.TrailingZeros64(lanes)
+			idx := gi*64 + lane
 			// The candidate's group value is the reference with only the
-			// differing bits flipped. The mismatching bit positions are
-			// distinct, so OR-ing the selected masks equals the conditional
-			// per-bit XOR — branch-free.
-			var flip uint64
-			for di, j := range diffJ {
-				flip |= (diffD[di] >> lane & 1) << j
-			}
-			av := groupFloat(g, rvInt^flip)
-			abs := math.Abs(av - rv)
-			rel := abs / den
+			// differing bits flipped.
+			av := groupFloat(g, vals[idx]^flips[lane])
+			flips[lane] = 0
+			abs := math.Abs(av - dec[idx])
+			rel := abs / dens[idx]
 			sumAbs += abs
 			sumSq += abs * abs
 			sumRel += rel
@@ -477,13 +459,8 @@ func (a *reportAccum) fold(p *batchStats) {
 	}
 }
 
-// addBatch computes one batch's statistics and folds them in.
-func (a *reportAccum) addBatch(out, refOut []uint64, mask uint64) {
-	computeBatchStats(a.spec, out, refOut, mask, &a.scratch, nil, 0)
-	a.fold(&a.scratch)
-}
-
-// addBatchRef is addBatch with the reference-decode cache for batch b.
+// addBatchRef computes one batch's statistics, reading the reference side
+// from the decode cache rc at batch b, and folds them in.
 func (a *reportAccum) addBatchRef(out, refOut []uint64, mask uint64, rc *refLanes, b int) {
 	computeBatchStats(a.spec, out, refOut, mask, &a.scratch, rc, b)
 	a.fold(&a.scratch)

@@ -7,6 +7,11 @@ import (
 	"github.com/blasys-go/blasys/internal/logic"
 )
 
+// MaxSequenceSteps bounds Sequence.Steps. The evaluator stores input and
+// reference words plus a reference decode for every (chain, step) batch, so
+// the step count sets its memory whatever the sample count.
+const MaxSequenceSteps = 4096
+
 // Sequence describes accumulator-style feedback evaluation: the circuit is
 // stepped for a number of cycles with selected outputs fed back into
 // selected inputs (e.g. a MAC's 33-bit sum truncated into its 32-bit
@@ -25,6 +30,9 @@ type Sequence struct {
 func (s *Sequence) Validate(c *logic.Circuit) error {
 	if s.Steps < 2 {
 		return fmt.Errorf("qor: sequence needs at least 2 steps, got %d", s.Steps)
+	}
+	if s.Steps > MaxSequenceSteps {
+		return fmt.Errorf("qor: sequence steps %d exceed the maximum %d", s.Steps, MaxSequenceSteps)
 	}
 	seenIn := make(map[int]bool)
 	for _, fb := range s.Feedback {
@@ -46,7 +54,8 @@ func (s *Sequence) Validate(c *logic.Circuit) error {
 // SequentialEvaluator compares approximate circuits against a reference
 // under feedback accumulation. 64 independent chains run per batch (one per
 // bit lane); fresh inputs are random each cycle and shared between reference
-// and approximate runs.
+// and approximate runs. A SequentialEvaluator is safe for concurrent Compare
+// calls.
 type SequentialEvaluator struct {
 	ref    *logic.Circuit
 	spec   OutputSpec
@@ -56,8 +65,10 @@ type SequentialEvaluator struct {
 	// fresh[b][t][i] is the fresh-input word for batch b, step t, input i
 	// (feedback inputs hold zero and are overwritten during simulation).
 	fresh [][][]uint64
-	// refOut[b][t][o] is the reference output trajectory.
-	refOut [][][]uint64
+	// refOut[b*Steps+t][o] is the reference output trajectory, and refLanes
+	// its per-lane decode under the same batch index.
+	refOut   [][]uint64
+	refLanes *refLanes
 	// isFeedback marks inputs that are driven by feedback.
 	isFeedback []bool
 }
@@ -91,12 +102,11 @@ func NewSequentialEvaluator(ref *logic.Circuit, spec OutputSpec, seq Sequence, s
 	rng := rand.New(rand.NewSource(seed))
 	sim := logic.NewSimulator(ref)
 	e.fresh = make([][][]uint64, chains)
-	e.refOut = make([][][]uint64, chains)
+	e.refOut = make([][]uint64, chains*seq.Steps)
 	state := make([]uint64, len(ref.Inputs))
 	out := make([]uint64, len(ref.Outputs))
 	for b := 0; b < chains; b++ {
 		e.fresh[b] = make([][]uint64, seq.Steps)
-		e.refOut[b] = make([][]uint64, seq.Steps)
 		for i := range state {
 			state[i] = 0
 		}
@@ -117,12 +127,13 @@ func NewSequentialEvaluator(ref *logic.Circuit, spec OutputSpec, seq Sequence, s
 				}
 			}
 			sim.Run(run, out)
-			e.refOut[b][t] = append([]uint64(nil), out...)
+			e.refOut[b*seq.Steps+t] = append([]uint64(nil), out...)
 			for _, fbp := range e.seq.Feedback {
 				state[fbp[1]] = out[fbp[0]]
 			}
 		}
 	}
+	e.refLanes = buildRefLanes(&e.spec, e.refOut)
 	return e, nil
 }
 
@@ -159,7 +170,8 @@ func (e *SequentialEvaluator) Compare(approx *logic.Circuit) (Report, error) {
 			for _, fbp := range e.seq.Feedback {
 				state[fbp[1]] = out[fbp[0]]
 			}
-			acc.addBatch(out, e.refOut[b][t], ^uint64(0))
+			i := b*e.seq.Steps + t
+			acc.addBatchRef(out, e.refOut[i], ^uint64(0), e.refLanes, i)
 		}
 	}
 	return acc.report(e.Samples(), false), nil

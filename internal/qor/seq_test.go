@@ -36,6 +36,14 @@ func TestSequenceValidate(t *testing.T) {
 	if err := bad.Validate(c); err == nil {
 		t.Error("accepted Steps=1")
 	}
+	bad.Steps = MaxSequenceSteps + 1
+	if err := bad.Validate(c); err == nil {
+		t.Errorf("accepted Steps=%d", bad.Steps)
+	}
+	bad.Steps = MaxSequenceSteps
+	if err := bad.Validate(c); err != nil {
+		t.Errorf("rejected Steps=MaxSequenceSteps: %v", err)
+	}
 	bad = Sequence{Steps: 8, Feedback: [][2]int{{99, 0}}}
 	if err := bad.Validate(c); err == nil {
 		t.Error("accepted out-of-range output")
@@ -151,5 +159,44 @@ func TestNewComparerDispatch(t *testing.T) {
 	}
 	if _, ok := e2.(*SequentialEvaluator); !ok {
 		t.Errorf("sequence: got %T", e2)
+	}
+}
+
+// TestSequentialConcurrentCompares runs Compare from several goroutines at
+// once, all reading the evaluator's shared reference trajectory and decode
+// cache; run under -race it also checks that Compare writes no shared state.
+func TestSequentialConcurrentCompares(t *testing.T) {
+	c, seq := counterCircuit(8)
+	e, err := NewSequentialEvaluator(c, Unsigned("s", 8), seq, 1<<12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]*logic.Circuit, 8)
+	for i := range apps {
+		apps[i] = c.Clone()
+		apps[i].Outputs[i%4] = apps[i].ConstNode(i%2 == 0)
+	}
+	reports := make([]Report, len(apps))
+	done := make(chan int, len(apps))
+	for i := range apps {
+		go func(i int) {
+			rep, err := e.Compare(apps[i])
+			if err == nil {
+				reports[i] = rep
+			}
+			done <- i
+		}(i)
+	}
+	for range apps {
+		<-done
+	}
+	for i := range apps {
+		single, err := e.Compare(apps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[i] != single {
+			t.Errorf("concurrent result %d differs from sequential", i)
+		}
 	}
 }
