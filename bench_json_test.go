@@ -28,13 +28,6 @@ var benchJSONPath = flag.String("benchjson", "",
 var benchWorkers = flag.Int("workers", 0,
 	"candidate-sweep workers for the parallel explore benchmark leg (0 = NumCPU, min 2)")
 
-// benchBatch sets the lane width of the fused multi-candidate evaluation legs
-// (the batch kernel's ladder workload in BenchmarkCompare and the block
-// profile surface in BenchmarkExplore). scripts/bench.sh passes it through as
-// -benchbatch.
-var benchBatch = flag.Int("benchbatch", 8,
-	"batch lane width for the fused candidate-evaluation benchmark legs (min 1)")
-
 type benchMetric struct {
 	Bench string  `json:"bench"`
 	Unit  string  `json:"unit"`

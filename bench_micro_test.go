@@ -7,7 +7,6 @@
 package blasys_test
 
 import (
-	"context"
 	"math"
 	mathbits "math/bits"
 	"runtime"
@@ -20,37 +19,7 @@ import (
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
-	"github.com/blasys-go/blasys/internal/telemetry"
 )
-
-// phaseCounters taps the qor evaluator's simulate/decode phase counters
-// through the process-global registry (get-or-create by name, so these are
-// the same counters internal/qor increments). Deltas around a timed leg
-// attribute the leg's decode share — the Amdahl denominator the lane-shared
-// decode (internal/qor decode.go) exists to shrink.
-func phaseCounters() (sim, dec *telemetry.Counter) {
-	r := telemetry.Default()
-	return r.Counter("blasys_qor_eval_sim_seconds_total", ""),
-		r.Counter("blasys_qor_eval_decode_seconds_total", "")
-}
-
-// phaseDelta captures the simulate/decode counter deltas around a timed leg;
-// fraction is decode's share of the simulate window (0 when none accrued).
-type phaseDelta struct{ sim, dec float64 }
-
-func measurePhases(fn func()) phaseDelta {
-	sim, dec := phaseCounters()
-	sim0, dec0 := sim.Value(), dec.Value()
-	fn()
-	return phaseDelta{sim: sim.Value() - sim0, dec: dec.Value() - dec0}
-}
-
-func (p phaseDelta) fraction() float64 {
-	if p.sim > 0 {
-		return p.dec / p.sim
-	}
-	return 0
-}
 
 // BenchmarkFactorize measures bmf.Factorize (ASSO + tau sweep + exact row
 // refinement) on a real Mult8 block truth matrix across all degrees.
@@ -266,54 +235,6 @@ func BenchmarkCompare(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// Batched ladder workload: every remaining variant of each live
-			// block, the same-block chunks surrogate-seeding sweeps
-			// (Result.BlockErrorProfiles) issue. The scalar ladder evaluates
-			// the identical candidate set one at a time, so the recorded
-			// speedup isolates lane fusion from workload shape.
-			batchW := *benchBatch
-			if batchW < 1 {
-				batchW = 1
-			}
-			ic.SetLanes(batchW)
-			type ladder struct {
-				bi    int
-				impls []*logic.Circuit
-			}
-			var ladders []ladder
-			nLadder, maxLadder := 0, 0
-			for _, c := range live {
-				p := res.Profiles[c.bi]
-				impls := make([]*logic.Circuit, len(p.Variants))
-				for vi := range p.Variants {
-					impls[vi] = p.Variants[vi].Impl
-				}
-				ladders = append(ladders, ladder{c.bi, impls})
-				nLadder += len(impls)
-				if len(impls) > maxLadder {
-					maxLadder = len(impls)
-				}
-			}
-			batchReps := make([]qor.Report, maxLadder)
-			scalarLadder := func() {
-				for _, ld := range ladders {
-					for _, impl := range ld.impls {
-						if _, err := ic.CompareCandidate(ld.bi, impl); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			batchLadder := func() {
-				for _, ld := range ladders {
-					if err := ic.CompareCandidates(ld.bi, ld.impls, batchReps[:len(ld.impls)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			// One untimed pass grows the pooled lane-packed scratch so the
-			// recorded batch-allocs/op is the steady state the explorer sees.
-			batchLadder()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				preprDur, _ := measureAllocs(func() {
@@ -331,10 +252,6 @@ func BenchmarkCompare(b *testing.B) {
 						incEval(c)
 					}
 				})
-				var scalDur, batchDur time.Duration
-				var batchAllocs uint64
-				scalPhases := measurePhases(func() { scalDur, _ = measureAllocs(scalarLadder) })
-				batchPhases := measurePhases(func() { batchDur, batchAllocs = measureAllocs(batchLadder) })
 				if i == 0 {
 					n := float64(len(live))
 					preprRate := n / preprDur.Seconds()
@@ -350,18 +267,6 @@ func BenchmarkCompare(b *testing.B) {
 					reportMetric(b, float64(incAllocs)/n, "allocs/op")
 					reportMetric(b, incRate/preprRate, "candidate-eval-speedup-x")
 					reportMetric(b, incRate/fullRate, "candidate-eval-speedup-vs-pooled-x")
-					nl := float64(nLadder)
-					scalRate := nl / scalDur.Seconds()
-					batchRate := nl / batchDur.Seconds()
-					b.Logf("Compare | %-8s | ladder %d candidates | scalar %8.1f evals/s (decode %2.0f%% of sim) | batch(w=%d) %8.1f evals/s (%.2f allocs/op, decode %2.0f%% of sim) | %.1fx",
-						name, nLadder, scalRate, 100*scalPhases.fraction(), batchW, batchRate,
-						float64(batchAllocs)/nl, 100*batchPhases.fraction(), batchRate/scalRate)
-					reportMetric(b, batchRate, "batch-candidate-evals/sec")
-					reportMetric(b, float64(batchAllocs)/nl, "batch-allocs/op")
-					reportMetric(b, batchRate/scalRate, "batch-speedup-x")
-					reportMetric(b, float64(batchW), "batch-width")
-					reportMetric(b, scalPhases.fraction(), "scalar-decode-fraction")
-					reportMetric(b, batchPhases.fraction(), "batch-decode-fraction")
 				}
 			}
 		})
@@ -437,46 +342,6 @@ func BenchmarkExplore(b *testing.B) {
 					reportMetric(b, parRate, "parallel-explore-steps/sec")
 					reportMetric(b, float64(incDur)/float64(parDur), "parallel-sweep-speedup-x")
 					reportMetric(b, float64(workers), "sweep-workers")
-
-					// Per-block error-landscape surface (every variant of
-					// every block), scalar vs lane-fused — the end-to-end
-					// consumer of the batch kernel.
-					batchW := *benchBatch
-					if batchW < 1 {
-						batchW = 1
-					}
-					ctx := context.Background()
-					scalStart := time.Now()
-					scalSurf, err := incRes.BlockErrorProfiles(ctx, 1, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					scalSurfDur := time.Since(scalStart)
-					batchStart := time.Now()
-					var batchSurf [][]qor.Report
-					surfPhases := measurePhases(func() {
-						batchSurf, err = incRes.BlockErrorProfiles(ctx, 1, batchW)
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					batchSurfDur := time.Since(batchStart)
-					nSurf := 0
-					for bi := range scalSurf {
-						nSurf += len(scalSurf[bi])
-						for f := range scalSurf[bi] {
-							if scalSurf[bi][f] != batchSurf[bi][f] {
-								b.Fatalf("block %d degree %d: batched surface diverged from scalar", bi, f+1)
-							}
-						}
-					}
-					surfRate := float64(nSurf) / batchSurfDur.Seconds()
-					b.Logf("Explore | %-8s | profile surface %d evals | scalar %v | batch(w=%d) %v (decode %2.0f%% of sim) | %.1fx",
-						name, nSurf, scalSurfDur, batchW, batchSurfDur, 100*surfPhases.fraction(),
-						float64(scalSurfDur)/float64(batchSurfDur))
-					reportMetric(b, surfRate, "profile-surface-evals/sec")
-					reportMetric(b, float64(scalSurfDur)/float64(batchSurfDur), "profile-surface-speedup-x")
-					reportMetric(b, surfPhases.fraction(), "profile-surface-decode-fraction")
 				}
 			}
 		})

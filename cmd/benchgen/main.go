@@ -1,13 +1,12 @@
 // Command benchgen emits the paper's benchmark circuits as BLIF and
 // structural Verilog netlists and prints their accurate design metrics
 // (Table 1 of the paper). It can also generate seeded random circuits —
-// the corpus the differential-fuzz CI job evaluates batch, scalar, and
+// the corpus the differential-fuzz CI job evaluates the incremental and
 // paper-literal kernels against.
 //
 //	benchgen -out netlists              # write all paper benchmarks
 //	benchgen -bench Mult8 -out .        # just one
 //	benchgen -rand 8 -rand-seed 3       # eight seeded random circuits
-//	benchgen -rand 4 -rand-wide         # wide-output-group variants
 package main
 
 import (
@@ -32,16 +31,15 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for the power estimate")
 		nRand    = flag.Int("rand", 0, "emit N seeded random circuits instead of the paper set")
 		randSeed = flag.Int64("rand-seed", 1, "base seed of the random-circuit stream")
-		randWide = flag.Bool("rand-wide", false, "draw random circuits with wide output counts (18-39), the lane-shared decode's transpose-path corpus")
 	)
 	flag.Parse()
-	if err := run(*name, *out, *seed, *nRand, *randSeed, *randWide); err != nil {
+	if err := run(*name, *out, *seed, *nRand, *randSeed); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name, out string, seed int64, nRand int, randSeed int64, randWide bool) error {
+func run(name, out string, seed int64, nRand int, randSeed int64) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -53,22 +51,12 @@ func run(name, out string, seed int64, nRand int, randSeed int64, randWide bool)
 		// individually regenerable.
 		for i := 0; i < nRand; i++ {
 			rng := rand.New(rand.NewSource(randSeed + int64(i)*1_000_003))
-			opts := bench.RandomOptions{
+			c := bench.RandomCircuit(rng, bench.RandomOptions{
 				Inputs:  6 + rng.Intn(6),
 				Gates:   60 + rng.Intn(140),
 				Outputs: 4 + rng.Intn(6),
-			}
-			if randWide {
-				// Enough outputs for >= transpose-threshold-wide groups: the
-				// corpus the lane-shared decode's transpose path is fuzzed on.
-				opts.Outputs = 18 + rng.Intn(22)
-				opts.Gates = 120 + rng.Intn(180)
-			}
-			c := bench.RandomCircuit(rng, opts)
+			})
 			c.Name = fmt.Sprintf("%s_s%d_%d", c.Name, randSeed, i)
-			if randWide {
-				c.Name += "_wide"
-			}
 			list = append(list, c)
 		}
 	case name != "":

@@ -122,38 +122,3 @@ func RandomCircuit(rng *rand.Rand, opts RandomOptions) Circuit {
 		Spec: qor.Unsigned("z", opts.Outputs),
 	}
 }
-
-// RandomImpl builds a seeded random implementation with the given I/O
-// shape: random gates over the inputs and earlier gates, outputs drawn from
-// the whole pool (constants included), so behaviors range from constant and
-// pass-through to dense mixing. Candidate sets built from it mismatch the
-// accurate reference on a large sample fraction — the decode-bound regime
-// the experiment harness's ladder workload and the kernel fuzz corpus both
-// exercise.
-func RandomImpl(rng *rand.Rand, nIn, nOut int) *logic.Circuit {
-	b := logic.NewBuilder("randimpl")
-	ids := b.Inputs("i", nIn)
-	ids = append(ids, b.Const(false), b.Const(true))
-	ops := []logic.Op{
-		logic.And, logic.Or, logic.Xor, logic.Nand,
-		logic.Nor, logic.Xnor, logic.Not, logic.Mux,
-	}
-	for g, n := 0, rng.Intn(12); g < n; g++ {
-		op := ops[rng.Intn(len(ops))]
-		pick := func() logic.NodeID { return ids[rng.Intn(len(ids))] }
-		var id logic.NodeID
-		switch op.Arity() {
-		case 1:
-			id = b.Gate(op, pick())
-		case 2:
-			id = b.Gate(op, pick(), pick())
-		default:
-			id = b.Gate(op, pick(), pick(), pick())
-		}
-		ids = append(ids, id)
-	}
-	for o := 0; o < nOut; o++ {
-		b.Output("o", ids[rng.Intn(len(ids))])
-	}
-	return b.C
-}

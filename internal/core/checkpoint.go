@@ -60,10 +60,10 @@ type ExplorerState struct {
 	// Resume refuses a state whose digest does not match the resuming
 	// Config, since continuing under different evaluation rules would splice
 	// two unrelated walks. Stopping criteria (Threshold, MaxSteps,
-	// ExploreFully) and the Workers / BatchWidth / DisableLaneDecode sweep
-	// scheduling are deliberately excluded: resuming with a larger budget
-	// to walk further is legitimate, and the sharded sweep is bit-identical
-	// at any worker count, batch lane width, or decode strategy.
+	// ExploreFully) and the Workers sweep scheduling are deliberately
+	// excluded: resuming with a larger budget to walk further is
+	// legitimate, and the sharded sweep is bit-identical at any worker
+	// count.
 	// Parallelism is included for lazy runs only — there it sets the
 	// stale-refresh batch size, which shapes the trajectory.
 	ConfigDigest string `json:"config_digest"`

@@ -129,6 +129,18 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestWorkersExcludedFromDigest pins that Workers, a pure scheduling knob,
+// does not change the checkpoint config digest — a run checkpointed at one
+// worker count must resume at any other.
+func TestWorkersExcludedFromDigest(t *testing.T) {
+	base := Config{K: 6, M: 4, Samples: 1 << 10, Seed: 17}.withDefaults()
+	wide := base
+	wide.Workers = 9
+	if configDigest(base) != configDigest(wide) {
+		t.Fatal("Workers changed the config digest; scheduling knobs must not")
+	}
+}
+
 func TestExplorerStateValidate(t *testing.T) {
 	st := &ExplorerState{Step: 2, Steps: []Step{{BlockIndex: 0, NewDegree: 1}}}
 	if err := st.Validate(); err == nil {

@@ -83,20 +83,6 @@ type Config struct {
 	// (internal/sched) and fall back to inline execution when the machine
 	// is saturated.
 	Workers int
-	// BatchWidth bounds how many same-block candidates the incremental
-	// evaluator fuses into one lane-packed simulation pass (0 = the
-	// evaluator's default width; clamped to qor.MaxLanes). Like Workers it
-	// is a pure scheduling choice: any width produces bit-identical reports
-	// and trajectories, so it is excluded from the checkpoint config digest.
-	// Ignored on the paper-literal paths (Sequence, DisableIncremental).
-	BatchWidth int
-	// DisableLaneDecode falls the batched evaluator back from the
-	// lane-shared metric decode to the per-lane scalar decode (see
-	// internal/qor's decode.go). Like BatchWidth it is pure scheduling —
-	// both decodes produce bit-identical reports — so it is excluded from
-	// the checkpoint config digest. Exists for A/B measurement (the
-	// experiment harness's decode axis); leave it false for speed.
-	DisableLaneDecode bool
 	// SynthExact uses exact two-level minimization for block synthesis.
 	SynthExact bool
 	// Basis selects the factor family; see the Basis constants.
@@ -329,10 +315,6 @@ func newCandidateEvaluator(res *Result, blocks []partition.Block, cfg Config) (c
 		if err != nil {
 			return nil, err
 		}
-		if cfg.BatchWidth > 0 {
-			ic.SetLanes(cfg.BatchWidth)
-		}
-		ic.SetLaneDecode(!cfg.DisableLaneDecode)
 		return &incrementalEval{res: res, ic: ic}, nil
 	}
 	cmp, err := qor.NewComparer(res.Circuit, res.Spec, cfg.Sequence, cfg.Samples, cfg.Seed)
@@ -349,29 +331,21 @@ type fullRebuildEval struct {
 	cmp qor.Comparer
 }
 
-// evaluateChunk rebuilds and resimulates one full circuit per trial degree —
-// the paper-literal unit of work; batching gains nothing here, so chunks are
-// simply looped.
-func (f *fullRebuildEval) evaluateChunk(degrees []int, bi int, degs []int, out []qor.Report) error {
+// evaluate rebuilds and resimulates the full trial circuit — the
+// paper-literal unit of work.
+func (f *fullRebuildEval) evaluate(degrees []int, bi, degree int) (qor.Report, error) {
 	trial := append([]int(nil), degrees...)
-	for k, d := range degs {
-		trial[bi] = d
-		circ, err := f.res.buildCircuit(trial)
-		if err != nil {
-			return err
-		}
-		rep, err := f.cmp.Compare(circ)
-		if err != nil {
-			return err
-		}
-		out[k] = rep
+	trial[bi] = degree
+	circ, err := f.res.buildCircuit(trial)
+	if err != nil {
+		return qor.Report{}, err
 	}
-	return nil
+	return f.cmp.Compare(circ)
 }
 
 func (f *fullRebuildEval) commit(bi, newDegree int) error { return nil }
 
-// shards shares the receiver: evaluateChunk materializes per-call state and
+// shards shares the receiver: evaluate materializes per-call state and
 // the underlying Comparer kinds are safe for concurrent Compare, so no
 // per-worker state is needed on this path.
 func (f *fullRebuildEval) shards(n int) []candidateShard {
@@ -411,26 +385,15 @@ func (e *incrementalEval) shards(n int) []candidateShard {
 }
 
 type incrementalShard struct {
-	e     *incrementalEval
-	sh    *qor.Shard
-	impls []*logic.Circuit // chunk impl buffer, reused across evaluateChunk calls
+	e  *incrementalEval
+	sh *qor.Shard
 }
 
-// evaluateChunk fuses a same-block candidate chunk into lane-packed batch
-// passes on the shard's private scratch; a width-1 chunk (the explorers'
-// case) takes the scalar path, which doubles as the batch kernel's
-// differential oracle.
-func (s *incrementalShard) evaluateChunk(degrees []int, bi int, degs []int, out []qor.Report) error {
-	if len(degs) == 1 {
-		rep, err := s.sh.CompareCandidate(bi, s.e.variant(bi, degs[0]))
-		out[0] = rep
-		return err
-	}
-	s.impls = s.impls[:0]
-	for _, d := range degs {
-		s.impls = append(s.impls, s.e.variant(bi, d))
-	}
-	return s.sh.CompareCandidates(bi, s.impls, out)
+// evaluate compares the block's variant at the trial degree on the shard's
+// private scratch; the committed state lives in the shared comparer, so
+// degrees is not consulted.
+func (s *incrementalShard) evaluate(_ []int, bi, degree int) (qor.Report, error) {
+	return s.sh.CompareCandidate(bi, s.e.variant(bi, degree))
 }
 
 // blockOutputWeights computes, per block, the column weights for weighted
@@ -695,7 +658,7 @@ func exploreLazy(ctx context.Context, res *Result, ce candidateEvaluator, cfg Co
 		for i, cd := range batch {
 			bis[i] = cd.bi
 		}
-		results := runSweep(ctx, shards, degrees, singleDegreeChunks(bis, degrees))
+		results := runSweep(ctx, shards, degrees, bis)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -836,7 +799,7 @@ func exploreExhaustive(ctx context.Context, res *Result, ce candidateEvaluator, 
 		stepSpan := cfg.Span.Child("step")
 		stepSpan.SetAttr("step", step)
 		stepSpan.SetAttr("candidates", len(cands))
-		results := runSweep(ctx, shards, degrees, singleDegreeChunks(cands, degrees))
+		results := runSweep(ctx, shards, degrees, cands)
 		if err := ctx.Err(); err != nil {
 			stepSpan.End()
 			return err

@@ -9,27 +9,13 @@ import (
 	"github.com/blasys-go/blasys/internal/sched"
 )
 
-// sweepChunk is one work item of a sharded candidate sweep: a contiguous run
-// of candidates that all target the same block, listed by trial degree. The
-// explorers' per-step sweeps issue one single-degree chunk per block
-// (Algorithm 1 tries each block at its next-lower degree); wider chunks come
-// from batch consumers like Result.BlockErrorProfiles, and are fused into
-// lane-packed passes by the incremental shard.
-type sweepChunk struct {
-	bi   int
-	degs []int
-}
-
-// candidateShard is a worker-private handle for evaluating sweep chunks.
-// Distinct shards may evaluate concurrently; one shard is used by one worker
-// at a time, and never concurrently with commit.
+// candidateShard is a worker-private handle for evaluating sweep
+// candidates. Distinct shards may evaluate concurrently; one shard is used by
+// one worker at a time, and never concurrently with commit.
 type candidateShard interface {
-	// evaluateChunk reports the whole-circuit QoR of setting block bi to each
-	// degree in degs on top of the committed state in degrees, writing one
-	// report per degree into out (len(out) == len(degs)). A batch-capable
-	// shard may fuse the chunk into one pass; results are bit-identical to
-	// evaluating each degree alone either way.
-	evaluateChunk(degrees []int, bi int, degs []int, out []qor.Report) error
+	// evaluate reports the whole-circuit QoR of setting block bi to degree
+	// on top of the committed state in degrees.
+	evaluate(degrees []int, bi, degree int) (qor.Report, error)
 }
 
 // sweepResult is one candidate's outcome from a sharded sweep. Slots a
@@ -37,58 +23,40 @@ type candidateShard interface {
 // ctx.Err() immediately after runSweep, before reading any result.
 type sweepResult struct {
 	bi     int
-	degree int
 	report qor.Report
 	err    error
 }
 
-// runSweep evaluates every chunk across the given shards and returns results
-// flattened in chunk-then-degree order (chunk order is the caller's, degrees
-// keep their in-chunk order). Sharding is by chunk position — shard s takes
-// chunks s, s+W, s+2W, … — and each result lands in its own slot, so the
-// output is identical for every worker count; only the schedule changes.
-// Extra workers run on goroutine tokens from the machine-wide sched budget
-// (shared with the BMF tau sweep); shards that win no token run inline on the
-// caller, so the sweep never blocks on the budget and never oversubscribes
-// the CPU.
-func runSweep(ctx context.Context, shards []candidateShard, degrees []int, chunks []sweepChunk) []sweepResult {
-	offsets := make([]int, len(chunks))
-	nCands := 0
-	for i, ch := range chunks {
-		offsets[i] = nCands
-		nCands += len(ch.degs)
-	}
+// runSweep evaluates one candidate per entry of bis — block bis[i] at its
+// next-lower degree, degrees[bis[i]]-1, as Algorithm 1 tries it — across the
+// given shards, and returns the results in bis order. Sharding is by
+// candidate position — shard s takes candidates s, s+W, s+2W, … — and each
+// result lands in its own slot, so the output is identical for every worker
+// count; only the schedule changes. Extra workers run on goroutine tokens
+// from the machine-wide sched budget (shared with the BMF tau sweep); shards
+// that win no token run inline on the caller, so the sweep never blocks on
+// the budget and never oversubscribes the CPU.
+func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis []int) []sweepResult {
 	sweepStart := time.Now()
 	defer func() {
 		mSweepSeconds.Observe(time.Since(sweepStart).Seconds())
-		mSweepCandidates.Observe(float64(nCands))
+		mSweepCandidates.Observe(float64(len(bis)))
 	}()
-	results := make([]sweepResult, nCands)
+	results := make([]sweepResult, len(bis))
 	w := len(shards)
-	if w > len(chunks) {
-		w = len(chunks)
+	if w > len(bis) {
+		w = len(bis)
 	}
 	runShard := func(s int, sh candidateShard) {
-		var reps []qor.Report
-		for i := s; i < len(chunks); i += w {
+		for i := s; i < len(bis); i += w {
 			if ctx.Err() != nil {
 				return
 			}
-			ch := chunks[i]
-			if len(ch.degs) == 0 {
-				continue
-			}
-			if cap(reps) < len(ch.degs) {
-				reps = make([]qor.Report, len(ch.degs))
-			}
-			out := reps[:len(ch.degs)]
+			bi := bis[i]
 			evalStart := time.Now()
-			err := sh.evaluateChunk(degrees, ch.bi, ch.degs, out)
-			per := time.Since(evalStart).Seconds() / float64(len(ch.degs))
-			for k, d := range ch.degs {
-				mCandidateEval.Observe(per)
-				results[offsets[i]+k] = sweepResult{bi: ch.bi, degree: d, report: out[k], err: err}
-			}
+			rep, err := sh.evaluate(degrees, bi, degrees[bi]-1)
+			mCandidateEval.Observe(time.Since(evalStart).Seconds())
+			results[i] = sweepResult{bi: bi, report: rep, err: err}
 		}
 	}
 	if w <= 1 {
@@ -117,19 +85,6 @@ func runSweep(ctx context.Context, shards []candidateShard, degrees []int, chunk
 	}
 	wg.Wait()
 	return results
-}
-
-// singleDegreeChunks converts the explorers' per-step candidate lists — block
-// bi tried at degrees[bi]-1 — into width-1 chunks, with all the degree
-// backing storage in one allocation.
-func singleDegreeChunks(cands []int, degrees []int) []sweepChunk {
-	chunks := make([]sweepChunk, len(cands))
-	degs := make([]int, len(cands))
-	for i, bi := range cands {
-		degs[i] = degrees[bi] - 1
-		chunks[i] = sweepChunk{bi: bi, degs: degs[i : i+1 : i+1]}
-	}
-	return chunks
 }
 
 // sweepReducer is the deterministic reduction of a step's sweep: the best

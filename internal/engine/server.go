@@ -16,6 +16,7 @@ import (
 	"github.com/blasys-go/blasys/internal/blif"
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/faults"
+	"github.com/blasys-go/blasys/internal/qor"
 	"github.com/blasys-go/blasys/internal/store"
 	"github.com/blasys-go/blasys/internal/telemetry"
 	"github.com/blasys-go/blasys/internal/verilog"
@@ -221,6 +222,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+	}
+
+	// The sample count sizes the evaluator's memory; an unbounded one would
+	// be accepted here and kill the process once a worker allocated it.
+	if n := req.Config.Samples; n < 0 || n > qor.MaxSamples {
+		writeError(w, http.StatusBadRequest, "samples must be in [0, %d] (got %d)", qor.MaxSamples, n)
+		return
 	}
 
 	if req.Config.DeadlineMS < 0 {

@@ -228,6 +228,8 @@ func TestServerValidation(t *testing.T) {
 			Sequence: &SequenceConfig{Steps: 1, Feedback: [][2]int{{0, 16}}}}}, http.StatusBadRequest},
 		{"sequence feedback out of range", map[string]any{"benchmark": "Fig3", "config": JobConfig{
 			Sequence: &SequenceConfig{Steps: 8, Feedback: [][2]int{{99, 0}}}}}, http.StatusBadRequest},
+		{"negative samples", map[string]any{"benchmark": "Adder32", "config": JobConfig{Samples: -1}}, http.StatusBadRequest},
+		{"samples over the bound", map[string]any{"benchmark": "Adder32", "config": JobConfig{Samples: 1 << 62}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", tc.body)

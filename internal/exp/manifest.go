@@ -1,8 +1,7 @@
 // Package exp is the reproducible experiment harness: it turns a JSON grid
-// manifest (axes over circuit, workers, batch width, decode strategy,
-// incremental on/off, cache warmth, fault schedule; a fixed seed list;
-// repeats) into a full
-// cross-product of experiment cells, executes every cell through the library
+// manifest (axes over circuit, workers, incremental on/off, cache warmth,
+// fault schedule; a fixed seed list; repeats) into a full cross-product of
+// experiment cells, executes every cell through the library
 // API (core.Approximate, or the durable engine when a fault axis is
 // declared), and writes a dated output folder with per-cell JSON, per-seed
 // raw rows, and auto-built summary tables.
@@ -43,15 +42,8 @@ type Manifest struct {
 	// single seed sufficient) or "statistical" (metric comparison, minimum
 	// three seeds, directional consistency required).
 	Type string `json:"type"`
-	// Workload selects what each cell executes: "explore" (the default —
-	// one full Approximate run), "profiles" (an Approximate run to build
-	// block profiles, then a timed BlockErrorProfiles ladder sweep — the
-	// lane-packed batch kernel's showcase workload), or "ladder" (a timed
-	// dense same-block candidate ladder driven straight through
-	// CompareCandidates: seeded random implementations fill every lane of
-	// the widest block, the decode-bound regime the lane-shared metric
-	// decode targets; only the circuit, batch_width, and decode axes
-	// apply).
+	// Workload selects what each cell executes: "explore" (the default and
+	// only workload — one full Approximate run).
 	Workload string `json:"workload,omitempty"`
 	// Seeds is the fixed seed list; every cell runs once per seed (times
 	// Repeats). Statistical manifests need at least three.
@@ -79,22 +71,13 @@ type Manifest struct {
 
 // Axes are the grid dimensions. Every combination of one value per declared
 // axis is one cell; omitted axes contribute their single default value
-// (workers 1, batch width 0 = evaluator default, incremental on, cold cache,
-// no faults).
+// (workers 1, incremental on, cold cache, no faults).
 type Axes struct {
 	// Circuit lists circuit specs for bench.Resolve: Table 1 names
 	// ("Mult8") or seeded random circuits ("rand:7", "rand:7:8x80x6").
 	Circuit []string `json:"circuit"`
 	// Workers values map to core.Config.Workers.
 	Workers []int `json:"workers,omitempty"`
-	// BatchWidth values map to core.Config.BatchWidth (0 = default lanes).
-	BatchWidth []int `json:"batch_width,omitempty"`
-	// Decode selects the batched evaluator's metric decode: "lane" (the
-	// lane-shared batch decode, the default) or "scalar" (the per-lane
-	// scalar decode, via core.Config.DisableLaneDecode). Pure scheduling —
-	// the decodes are bit-identical — so the axis exists for A/B throughput
-	// comparison.
-	Decode []string `json:"decode,omitempty"`
 	// Incremental false selects the paper-literal rebuild+resimulate path
 	// (core.Config.DisableIncremental).
 	Incremental []bool `json:"incremental,omitempty"`
@@ -119,7 +102,7 @@ type Pass struct {
 	// "wall_seconds", "explore_seconds", "steps", "best_error", "norm_area".
 	Metric string `json:"metric,omitempty"`
 	// CompareAxis is the axis under test: "circuit", "workers",
-	// "batch_width", "decode", "incremental", "cache", or "faults".
+	// "incremental", "cache", or "faults".
 	CompareAxis string `json:"compare_axis"`
 	// Baseline is the CompareAxis value (in axis-token string form, e.g.
 	// "false", "1", "none") the others are measured against. Required for
@@ -144,9 +127,7 @@ const (
 	TypeDeterministic = "deterministic"
 	TypeStatistical   = "statistical"
 
-	WorkloadExplore  = "explore"
-	WorkloadProfiles = "profiles"
-	WorkloadLadder   = "ladder"
+	WorkloadExplore = "explore"
 
 	KindRatio = "ratio"
 	KindEqual = "equal"
@@ -220,15 +201,9 @@ func (m *Manifest) validate() error {
 		seen[s] = true
 	}
 	switch m.Workload {
-	case "", WorkloadExplore, WorkloadProfiles, WorkloadLadder:
+	case "", WorkloadExplore:
 	default:
 		return fmt.Errorf("exp: manifest %s: unknown workload %q", m.Name, m.Workload)
-	}
-	if m.Workload == WorkloadLadder {
-		if len(m.Axes.Workers) > 0 || len(m.Axes.Incremental) > 0 ||
-			len(m.Axes.Cache) > 0 || len(m.Axes.Faults) > 0 {
-			return fmt.Errorf("exp: manifest %s: the ladder workload drives CompareCandidates directly; only circuit, batch_width, and decode axes apply", m.Name)
-		}
 	}
 	if len(m.Axes.Circuit) == 0 {
 		return fmt.Errorf("exp: manifest %s: the circuit axis needs at least one value", m.Name)
@@ -237,14 +212,6 @@ func (m *Manifest) validate() error {
 		if c != "cold" && c != "warm" {
 			return fmt.Errorf("exp: manifest %s: cache axis values must be \"cold\" or \"warm\", got %q", m.Name, c)
 		}
-	}
-	for _, d := range m.Axes.Decode {
-		if d != "lane" && d != "scalar" {
-			return fmt.Errorf("exp: manifest %s: decode axis values must be \"lane\" or \"scalar\", got %q", m.Name, d)
-		}
-	}
-	if m.Workload == WorkloadProfiles && len(m.Axes.Faults) > 0 {
-		return fmt.Errorf("exp: manifest %s: the profiles workload has no store, so a faults axis cannot apply", m.Name)
 	}
 	switch m.Pass.Kind {
 	case KindEqual:
@@ -290,8 +257,6 @@ func (m *Manifest) validate() error {
 type Cell struct {
 	Circuit     string `json:"circuit"`
 	Workers     int    `json:"workers"`
-	BatchWidth  int    `json:"batch_width"`
-	Decode      string `json:"decode"`
 	Incremental bool   `json:"incremental"`
 	Cache       string `json:"cache"`
 	Faults      string `json:"faults"`
@@ -303,7 +268,7 @@ type Cell struct {
 	UseEngine bool `json:"use_engine"`
 }
 
-var axisNames = []string{"circuit", "workers", "batch_width", "decode", "incremental", "cache", "faults"}
+var axisNames = []string{"circuit", "workers", "incremental", "cache", "faults"}
 
 func axisNameKnown(name string) bool {
 	for _, n := range axisNames {
@@ -326,16 +291,6 @@ func (m *Manifest) axisTokens(axis string) []string {
 			return []string{"1"}
 		}
 		return intTokens(m.Axes.Workers)
-	case "batch_width":
-		if len(m.Axes.BatchWidth) == 0 {
-			return []string{"0"}
-		}
-		return intTokens(m.Axes.BatchWidth)
-	case "decode":
-		if len(m.Axes.Decode) == 0 {
-			return []string{"lane"}
-		}
-		return append([]string(nil), m.Axes.Decode...)
 	case "incremental":
 		if len(m.Axes.Incremental) == 0 {
 			return []string{"true"}
@@ -401,14 +356,6 @@ func (m *Manifest) Cells() []Cell {
 	if len(workers) == 0 {
 		workers = []int{1}
 	}
-	widths := m.Axes.BatchWidth
-	if len(widths) == 0 {
-		widths = []int{0}
-	}
-	decodes := m.Axes.Decode
-	if len(decodes) == 0 {
-		decodes = []string{"lane"}
-	}
 	incr := m.Axes.Incremental
 	if len(incr) == 0 {
 		incr = []bool{true}
@@ -425,24 +372,18 @@ func (m *Manifest) Cells() []Cell {
 	var cells []Cell
 	for _, circ := range m.Axes.Circuit {
 		for _, w := range workers {
-			for _, bw := range widths {
-				for _, dec := range decodes {
-					for _, inc := range incr {
-						for _, cache := range caches {
-							for fi, flt := range faultAxes {
-								cells = append(cells, Cell{
-									Circuit:     circ,
-									Workers:     w,
-									BatchWidth:  bw,
-									Decode:      dec,
-									Incremental: inc,
-									Cache:       cache,
-									Faults:      flt,
-									FaultsLabel: faultsToken(flt, fi),
-									UseEngine:   useEngine,
-								})
-							}
-						}
+			for _, inc := range incr {
+				for _, cache := range caches {
+					for fi, flt := range faultAxes {
+						cells = append(cells, Cell{
+							Circuit:     circ,
+							Workers:     w,
+							Incremental: inc,
+							Cache:       cache,
+							Faults:      flt,
+							FaultsLabel: faultsToken(flt, fi),
+							UseEngine:   useEngine,
+						})
 					}
 				}
 			}
@@ -458,10 +399,6 @@ func (c Cell) axisToken(axis string) string {
 		return circuitToken(c.Circuit)
 	case "workers":
 		return strconv.Itoa(c.Workers)
-	case "batch_width":
-		return strconv.Itoa(c.BatchWidth)
-	case "decode":
-		return c.Decode
 	case "incremental":
 		return strconv.FormatBool(c.Incremental)
 	case "cache":
@@ -479,12 +416,6 @@ func (m *Manifest) declaredAxes() []string {
 	if len(m.Axes.Workers) > 0 {
 		axes = append(axes, "workers")
 	}
-	if len(m.Axes.BatchWidth) > 0 {
-		axes = append(axes, "batch_width")
-	}
-	if len(m.Axes.Decode) > 0 {
-		axes = append(axes, "decode")
-	}
 	if len(m.Axes.Incremental) > 0 {
 		axes = append(axes, "incremental")
 	}
@@ -499,7 +430,7 @@ func (m *Manifest) declaredAxes() []string {
 
 // CellID is the cell's stable identifier: its declared-axis tokens joined
 // with '_', prefixed by axis letters for the non-circuit axes
-// (e.g. "mult8_w2_bw8_inc-true").
+// (e.g. "mult8_w2_inc-true").
 func (m *Manifest) CellID(c Cell) string {
 	parts := []string{}
 	for _, axis := range m.declaredAxes() {
@@ -509,10 +440,6 @@ func (m *Manifest) CellID(c Cell) string {
 			parts = append(parts, tok)
 		case "workers":
 			parts = append(parts, "w"+tok)
-		case "batch_width":
-			parts = append(parts, "bw"+tok)
-		case "decode":
-			parts = append(parts, "dec-"+tok)
 		case "incremental":
 			parts = append(parts, "inc-"+tok)
 		case "cache":

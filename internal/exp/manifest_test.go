@@ -69,16 +69,6 @@ func TestParseManifestRejects(t *testing.T) {
 			return strings.Replace(s, `"incremental": [false, true]`,
 				`"incremental": [false, true], "cache": ["tepid"]`, 1)
 		}),
-		"bad decode value": mutate(func(s string) string {
-			return strings.Replace(s, `"incremental": [false, true]`,
-				`"incremental": [false, true], "decode": ["vectorized"]`, 1)
-		}),
-		"ladder with incompatible axis": mutate(func(s string) string {
-			// The ladder workload drives CompareCandidates directly, so an
-			// incremental axis (or workers/cache/faults) cannot apply.
-			return strings.Replace(s, `"type": "statistical"`,
-				`"type": "statistical", "workload": "ladder"`, 1)
-		}),
 		"no circuits": mutate(func(s string) string {
 			return strings.Replace(s, `["Fig3"]`, `[]`, 1)
 		}),
@@ -125,47 +115,6 @@ func TestCellsExpansionOrder(t *testing.T) {
 	}
 	if g1, g2 := m.GroupKey(cells[0]), m.GroupKey(cells[1]); g1 == g2 {
 		t.Errorf("GroupKey %q collapsed the incremental axis", g1)
-	}
-}
-
-// TestCellsDecodeAxis pins the decode axis: expansion order, ID tokens, the
-// "lane" default when undeclared, and that the group key drops the axis when
-// it is the one under comparison.
-func TestCellsDecodeAxis(t *testing.T) {
-	m, err := ParseManifest([]byte(`{
-		"name": "dec",
-		"hypothesis": "the lane-shared decode is faster",
-		"type": "statistical",
-		"seeds": [1, 2, 3],
-		"axes": {"circuit": ["Fig3"], "batch_width": [8], "decode": ["scalar", "lane"]},
-		"pass": {"kind": "ratio", "metric": "evals_per_sec",
-		         "compare_axis": "decode", "baseline": "scalar", "direction": "up"}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := m.Cells()
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
-	}
-	if id := m.CellID(cells[0]); id != "fig3_bw8_dec-scalar" {
-		t.Errorf("cell 0 id = %q, want fig3_bw8_dec-scalar", id)
-	}
-	if id := m.CellID(cells[1]); id != "fig3_bw8_dec-lane" {
-		t.Errorf("cell 1 id = %q, want fig3_bw8_dec-lane", id)
-	}
-	if g1, g2 := m.GroupKey(cells[0]), m.GroupKey(cells[1]); g1 != g2 {
-		t.Errorf("GroupKey differs across the decode axis: %q vs %q", g1, g2)
-	}
-	// Undeclared decode axis collapses to the lane default.
-	plain, err := ParseManifest([]byte(validManifest()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range plain.Cells() {
-		if c.Decode != "lane" {
-			t.Errorf("default decode = %q, want lane", c.Decode)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
@@ -19,9 +18,6 @@ import (
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/engine"
 	"github.com/blasys-go/blasys/internal/faults"
-	"github.com/blasys-go/blasys/internal/logic"
-	"github.com/blasys-go/blasys/internal/partition"
-	"github.com/blasys-go/blasys/internal/qor"
 	"github.com/blasys-go/blasys/internal/store"
 	"github.com/blasys-go/blasys/internal/telemetry"
 )
@@ -41,8 +37,6 @@ type Row struct {
 	Cell        string  `json:"cell"`
 	Circuit     string  `json:"circuit"`
 	Workers     int     `json:"workers"`
-	BatchWidth  int     `json:"batch_width"`
-	Decode      string  `json:"decode"`
 	Incremental bool    `json:"incremental"`
 	Cache       string  `json:"cache"`
 	Faults      string  `json:"faults"`
@@ -50,8 +44,7 @@ type Row struct {
 	Repeat      int     `json:"repeat"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// ProfileSeconds and ExploreSeconds split the wall time by flow phase
-	// (from the telemetry span timeline; zero for the profiles workload,
-	// whose timed region is the ladder sweep alone).
+	// (from the telemetry span timeline).
 	ProfileSeconds float64 `json:"profile_seconds"`
 	ExploreSeconds float64 `json:"explore_seconds"`
 	// Steps is the number of committed exploration steps.
@@ -198,8 +191,6 @@ func cellConfig(m *Manifest, cell Cell, seed int64) core.Config {
 		MaxSteps:           m.MaxSteps,
 		ExploreFully:       m.ExploreFully,
 		Workers:            cell.Workers,
-		BatchWidth:         cell.BatchWidth,
-		DisableLaneDecode:  cell.Decode == "scalar",
 		DisableIncremental: !cell.Incremental,
 	}
 }
@@ -208,8 +199,6 @@ func (r *Runner) runCell(ctx context.Context, m *Manifest, cell Cell, seed int64
 	row := Row{
 		Circuit:     cell.Circuit,
 		Workers:     cell.Workers,
-		BatchWidth:  cell.BatchWidth,
-		Decode:      cell.Decode,
 		Incremental: cell.Incremental,
 		Cache:       cell.Cache,
 		Faults:      cell.FaultsLabel,
@@ -233,12 +222,6 @@ func (r *Runner) runCell(ctx context.Context, m *Manifest, cell Cell, seed int64
 			return row, fmt.Errorf("cache warm-up: %w", err)
 		}
 		cfg.Cache = cache
-	}
-	if m.Workload == WorkloadProfiles {
-		return r.runProfilesCell(ctx, cell, cfg, bc, row)
-	}
-	if m.Workload == WorkloadLadder {
-		return runLadderCell(cell, seed, m.Samples, bc, row)
 	}
 	if cell.UseEngine {
 		return r.runEngineCell(ctx, m, cell, cfg, bc, row)
@@ -338,95 +321,6 @@ func (r *Runner) runEngineCell(ctx context.Context, m *Manifest, cell Cell, cfg 
 	return row, nil
 }
 
-// runProfilesCell times the BlockErrorProfiles ladder sweep — every variant
-// of every block against the accurate baseline, the workload whose wide
-// same-block ladders keep the batch kernel's lanes full. The Approximate run
-// that builds the profiles is untimed preparation.
-func (r *Runner) runProfilesCell(ctx context.Context, cell Cell, cfg core.Config, bc bench.Circuit, row Row) (Row, error) {
-	prep := cfg
-	prep.MaxSteps = 1
-	res, err := core.ApproximateCtx(ctx, bc.Circ, bc.Spec, prep)
-	if err != nil {
-		return row, err
-	}
-	count0, sum0 := hCandidateEval.Count(), hCandidateEval.Sum()
-	t0 := time.Now()
-	reports, err := res.BlockErrorProfiles(ctx, cell.Workers, cell.BatchWidth)
-	row.WallSeconds = time.Since(t0).Seconds()
-	if err != nil {
-		return row, err
-	}
-	fillEvalDelta(&row, count0, sum0)
-	h := sha256.New()
-	if err := hashJSON(h, reports); err != nil {
-		return row, err
-	}
-	row.ResultHash = hex.EncodeToString(h.Sum(nil))
-	return row, nil
-}
-
-// ladderRounds is how many times a ladder cell re-evaluates its candidate
-// set: enough work per cell for the timing to clear scheduler and GC noise
-// on a loaded runner, cheap enough that a grid stays interactive.
-const ladderRounds = 32
-
-// runLadderCell times the decode-bound regime directly: seeded random
-// implementations fill every lane of the circuit's widest block, and one
-// fused CompareCandidates pass per round scores them all against the
-// accurate reference. Random implementations mismatch the reference on a
-// large sample fraction, so the metric decode dominates the pass — the
-// regime the lane-shared decode (internal/qor's decode.go) exists for, and
-// the same construction as the root package's BenchmarkLaneDecode. The
-// candidate set depends only on (circuit, seed), never on the decode axis,
-// so the reported QoR must hash identically across decode values — a
-// bit-identity check riding along with every throughput row.
-func runLadderCell(cell Cell, seed int64, samples int, bc bench.Circuit, row Row) (Row, error) {
-	prepared := logic.ReorderDFS(logic.Sweep(bc.Circ))
-	blocks, err := partition.Decompose(prepared, partition.Options{MaxInputs: 5, MaxOutputs: 3})
-	if err != nil {
-		return row, fmt.Errorf("ladder decompose: %w", err)
-	}
-	if len(blocks) == 0 {
-		return row, fmt.Errorf("ladder: circuit %s decomposed to no blocks", bc.Name)
-	}
-	ic, err := qor.NewIncrementalComparer(prepared, bc.Spec, blocks, samples, seed)
-	if err != nil {
-		return row, fmt.Errorf("ladder comparer: %w", err)
-	}
-	widest := 0
-	for b := range blocks {
-		if len(blocks[b].Inputs) > len(blocks[widest].Inputs) {
-			widest = b
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	impls := make([]*logic.Circuit, cell.BatchWidth)
-	for i := range impls {
-		impls[i] = bench.RandomImpl(rng, len(blocks[widest].Inputs), len(blocks[widest].Outputs))
-	}
-	reps := make([]qor.Report, len(impls))
-	ic.SetLanes(cell.BatchWidth)
-	ic.SetLaneDecode(cell.Decode != "scalar")
-	t0 := time.Now()
-	for round := 0; round < ladderRounds; round++ {
-		if err := ic.CompareCandidates(widest, impls, reps); err != nil {
-			return row, fmt.Errorf("ladder compare: %w", err)
-		}
-	}
-	row.WallSeconds = time.Since(t0).Seconds()
-	row.Evals = ladderRounds * len(impls)
-	row.EvalSeconds = row.WallSeconds
-	if row.EvalSeconds > 0 {
-		row.EvalsPerSec = float64(row.Evals) / row.EvalSeconds
-	}
-	h := sha256.New()
-	if err := hashJSON(h, reps); err != nil {
-		return row, err
-	}
-	row.ResultHash = hex.EncodeToString(h.Sum(nil))
-	return row, nil
-}
-
 // fillEvalDelta attributes the candidate-eval histogram delta since the
 // snapshot to the row. Cells run serially in one process, so the delta is
 // exactly the cell's own evaluations.
@@ -503,9 +397,6 @@ func hashExploreResult(res *core.Result) (string, error) {
 func hashJSON(h io.Writer, v any) error {
 	return json.NewEncoder(h).Encode(v)
 }
-
-// interface satisfaction guard: engine results always carry reports.
-var _ = qor.Report{}
 
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")

@@ -103,25 +103,3 @@ func TestRunEngineFaultCells(t *testing.T) {
 		t.Errorf("fault schedule changed the result: %s vs %s", run.Rows[0].ResultHash, run.Rows[1].ResultHash)
 	}
 }
-
-// TestRunProfilesWorkload drives the batch-lane showcase path.
-func TestRunProfilesWorkload(t *testing.T) {
-	run := runGrid(t, `{
-		"name": "profiles-micro",
-		"hypothesis": "lane width does not change ladder reports",
-		"type": "deterministic",
-		"seeds": [42],
-		"samples": 256,
-		"workload": "profiles",
-		"axes": {"circuit": ["Fig3"], "batch_width": [1, 8]},
-		"pass": {"kind": "equal", "compare_axis": "batch_width"}
-	}`)
-	if !run.Summary.Pass {
-		t.Fatalf("profiles grid failed: %q", run.Summary.Verdict)
-	}
-	for _, r := range run.Rows {
-		if r.Evals == 0 {
-			t.Errorf("cell %s recorded no candidate evaluations", r.Cell)
-		}
-	}
-}

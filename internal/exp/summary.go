@@ -105,8 +105,6 @@ func rowCell(r Row) Cell {
 	return Cell{
 		Circuit:     r.Circuit,
 		Workers:     r.Workers,
-		BatchWidth:  r.BatchWidth,
-		Decode:      r.Decode,
 		Incremental: r.Incremental,
 		Cache:       r.Cache,
 		FaultsLabel: r.Faults,
@@ -412,7 +410,7 @@ func (s *Summary) GroupedCSV() string {
 
 // rowsCSVHeader is the raw-row column order.
 var rowsCSVHeader = []string{
-	"cell", "circuit", "workers", "batch_width", "decode", "incremental", "cache", "faults",
+	"cell", "circuit", "workers", "incremental", "cache", "faults",
 	"seed", "repeat", "wall_seconds", "profile_seconds", "explore_seconds",
 	"steps", "evals", "eval_seconds", "evals_per_sec", "best_error", "norm_area", "result_hash",
 }
@@ -422,8 +420,8 @@ func writeRowsCSV(path string, rows []Row) error {
 	b.WriteString(strings.Join(rowsCSVHeader, ","))
 	b.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%s,%t,%s,%s,%d,%d,%s,%s,%s,%d,%d,%s,%s,%s,%s,%s\n",
-			r.Cell, r.Circuit, r.Workers, r.BatchWidth, r.Decode, r.Incremental, r.Cache, r.Faults,
+		fmt.Fprintf(&b, "%s,%s,%d,%t,%s,%s,%d,%d,%s,%s,%s,%d,%d,%s,%s,%s,%s,%s\n",
+			r.Cell, r.Circuit, r.Workers, r.Incremental, r.Cache, r.Faults,
 			r.Seed, r.Repeat, fmtF(r.WallSeconds), fmtF(r.ProfileSeconds), fmtF(r.ExploreSeconds),
 			r.Steps, r.Evals, fmtF(r.EvalSeconds), fmtF(r.EvalsPerSec),
 			fmtF(r.BestError), fmtF(r.NormArea), r.ResultHash)

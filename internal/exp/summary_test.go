@@ -46,7 +46,6 @@ func goldenRows(m *Manifest) []Row {
 					Cell:        m.CellID(cell),
 					Circuit:     cell.Circuit,
 					Workers:     cell.Workers,
-					BatchWidth:  cell.BatchWidth,
 					Incremental: cell.Incremental,
 					Cache:       cell.Cache,
 					Faults:      cell.FaultsLabel,

@@ -58,18 +58,7 @@ type IncrementalComparer struct {
 	// cached partial instead of re-decoding the batch.
 	stats []batchStats
 
-	// lanes is the batch lane width used by CompareCandidates (SetLanes).
-	lanes int
-	// laneDecode selects the lane-shared metric decode for batch passes
-	// (SetLaneDecode); the scalar per-lane decode otherwise.
-	laneDecode bool
-	// transposeBits is the group width at or above which the lane-shared
-	// decode gathers candidate values by bit-matrix transpose
-	// (SetTransposeThreshold).
-	transposeBits int
-
 	scratchPool sync.Pool
-	batchPool   sync.Pool
 }
 
 // NewIncrementalComparer prepares the incremental evaluation engine for the
@@ -95,13 +84,10 @@ func NewIncrementalComparer(ref *logic.Circuit, spec OutputSpec, blocks []partit
 	}
 
 	ic := &IncrementalComparer{
-		eval:          eval,
-		blocks:        blocks,
-		impls:         make([]*logic.Circuit, len(blocks)),
-		stats:         make([]batchStats, eval.nBatches),
-		lanes:         DefaultLanes,
-		laneDecode:    true,
-		transposeBits: DefaultTransposeBits,
+		eval:   eval,
+		blocks: blocks,
+		impls:  make([]*logic.Circuit, len(blocks)),
+		stats:  make([]batchStats, eval.nBatches),
 	}
 	// Cache the accurate circuit's full node-word state per batch.
 	sim := logic.NewSimulator(ref)
@@ -376,10 +362,9 @@ func (ic *IncrementalComparer) compile(bi int, impl *logic.Circuit, sc *icScratc
 
 // compileCone builds segment 2 — the transitive fanout cone downstream of
 // block bi, region by region — from the dirty marks left by segment 1 (the
-// candidate block's outputs, or for a batch every lane's shared output
-// slots). Consecutive accurate gates merge into one unconditional unit; each
-// committed region becomes a conditional unit that is skipped per batch when
-// the wave has not reached its boundary inputs.
+// candidate block's outputs). Consecutive accurate gates merge into one
+// unconditional unit; each committed region becomes a conditional unit that
+// is skipped per batch when the wave has not reached its boundary inputs.
 func (ic *IncrementalComparer) compileCone(bi int, sc *icScratch) {
 	c := ic.eval.ref
 	gateUnit := -1
@@ -590,7 +575,6 @@ func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Ci
 	sc.acc.reset(&e.spec)
 	out := sc.out[:len(e.ref.Outputs)]
 	cleanBatches := 0
-	var decodeSec float64
 	for b := 0; b < e.nBatches; b++ {
 		base := ic.base[b]
 		if sc.runBatch(base) {
@@ -604,17 +588,14 @@ func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Ci
 		if b == e.nBatches-1 {
 			mask = e.lastMask
 		}
-		dstart := time.Now()
 		w := sc.slots
 		for i, src := range sc.outSrc {
 			out[i] = w[src]
 		}
 		sc.acc.addBatchRef(out, e.refOut[b], mask, e.refLanes, b)
-		decodeSec += time.Since(dstart).Seconds()
 	}
 	rep := sc.acc.report(e.samples, e.exhaustive)
 	mSimSeconds.Add(time.Since(compiled).Seconds())
-	mDecodeSeconds.Add(decodeSec)
 	mEvalBatchKind.With("clean").Add(float64(cleanBatches))
 	mEvalBatchKind.With("cone").Add(float64(e.nBatches - cleanBatches))
 	mEvalBatches.Observe(float64(e.nBatches))
@@ -688,9 +669,8 @@ func (ic *IncrementalComparer) reportFromBase() Report {
 // through any Shard returns a report bit-identical to the parent's
 // CompareCandidate — sharding affects scheduling, never results.
 type Shard struct {
-	ic  *IncrementalComparer
-	sc  icScratch
-	bsc batchScratch
+	ic *IncrementalComparer
+	sc icScratch
 }
 
 // Shard creates a worker-private evaluation handle (see Shard).
@@ -705,26 +685,4 @@ func (s *Shard) CompareCandidate(bi int, impl *logic.Circuit) (Report, error) {
 	rep, err := s.ic.compareWith(&s.sc, bi, impl)
 	s.sc.clearMarks()
 	return rep, err
-}
-
-// PlanStats instruments one candidate evaluation for benchmarking and
-// observability: the compiled op count, the number of batches whose change
-// wave died at the block boundary (evaluated for free from cached partials),
-// and the number of batches that re-simulated the cone.
-func (ic *IncrementalComparer) PlanStats(bi int, impl *logic.Circuit) (ops, cleanBatches, coneBatches int) {
-	sc := ic.getScratch()
-	defer ic.putScratch(sc)
-	ic.compile(bi, impl, sc)
-	ops = len(sc.implOps)
-	for ui := range sc.cone {
-		ops += len(sc.cone[ui].ops)
-	}
-	for b := 0; b < ic.eval.nBatches; b++ {
-		if sc.runBatch(ic.base[b]) {
-			cleanBatches++
-		} else {
-			coneBatches++
-		}
-	}
-	return
 }

@@ -103,6 +103,14 @@ func TestIncrementalMatchesFullOnSubstitution(t *testing.T) {
 	if committed != fast {
 		t.Fatalf("commit report %+v != candidate report %+v", committed, fast)
 	}
+	// Re-proposing the committed implementation leaves every batch's block
+	// outputs equal to the cache, so the evaluation folds cached partials
+	// throughout and must reproduce the commit's report exactly.
+	if again, err := ic.CompareCandidate(0, impl0); err != nil {
+		t.Fatal(err)
+	} else if again != committed {
+		t.Fatalf("re-proposed committed impl: %+v != commit report %+v", again, committed)
+	}
 	bi := len(blocks) - 1
 	impl1 := constImpl(len(blocks[bi].Inputs), len(blocks[bi].Outputs), true)
 	fast, err = ic.CompareCandidate(bi, impl1)
@@ -111,6 +119,51 @@ func TestIncrementalMatchesFullOnSubstitution(t *testing.T) {
 	}
 	if slow := full(map[int]*logic.Circuit{0: impl0, bi: impl1}); fast != slow {
 		t.Fatalf("stacked candidate: incremental %+v != full %+v", fast, slow)
+	}
+}
+
+// TestBatchCleanWave evaluates a wave of candidates on one block in which
+// re-proposals of the committed implementation (clean in every batch)
+// alternate with a genuinely dirty candidate. Each clean evaluation must
+// reproduce the commit's report, and no clean evaluation may disturb the
+// dirty candidate's report through state the comparer reuses between calls.
+func TestBatchCleanWave(t *testing.T) {
+	prepared, spec, blocks := ripple(t, 8)
+	ic, err := NewIncrementalComparer(prepared, spec, blocks, 1<<9, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := blocks[0]
+	committed := constImpl(len(b.Inputs), len(b.Outputs), true)
+	want, err := ic.Commit(0, committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := constImpl(len(b.Inputs), len(b.Outputs), false)
+	first, err := ic.CompareCandidate(0, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == want {
+		t.Fatal("dirty candidate should differ from the committed report")
+	}
+	for i := 0; i < 3; i++ {
+		for _, clean := range []bool{true, true, false} {
+			impl := dirty
+			if clean {
+				impl = committed
+			}
+			rep, err := ic.CompareCandidate(0, impl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clean && rep != want {
+				t.Fatalf("wave %d: clean candidate %+v != commit report %+v", i, rep, want)
+			}
+			if !clean && rep != first {
+				t.Fatalf("wave %d: dirty candidate %+v != its first report %+v", i, rep, first)
+			}
+		}
 	}
 }
 

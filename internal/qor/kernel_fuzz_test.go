@@ -2,6 +2,7 @@ package qor_test
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,13 +12,14 @@ import (
 	"github.com/blasys-go/blasys/internal/qor"
 )
 
-// Differential fuzz of the three evaluation paths on random circuits nobody
+// Differential fuzz of the incremental kernel on random circuits nobody
 // hand-picked: for seeded random netlists and seeded random block
-// implementations, the lane-packed batch kernel, the scalar incremental
-// comparer, and the paper-literal rebuild (logic.ReplaceBlocks +
-// Evaluator.Compare) must report bit-identical QoR — including across
-// commits, mixed lane widths, and candidate chunks wider and narrower than
-// the lane width. The CI kernel job runs this repeatedly under -race.
+// implementations, the scalar incremental comparer must report QoR
+// bit-identical to the paper-literal rebuild (logic.ReplaceBlocks +
+// Evaluator.Compare), across commits. The seeded corpus reads every output
+// as one unsigned group, plus a wide group beside a narrow one;
+// TestLaneDecodeEdgeCases adds fixed output interpretations that stress the
+// per-sample-lane decode. The CI kernel job runs both repeatedly under -race.
 
 var fuzzSeeds = flag.Int("kernelfuzz.seeds", 6, "random circuits per kernel fuzz run")
 
@@ -53,6 +55,93 @@ func randImpl(rng *rand.Rand, nIn, nOut int) *logic.Circuit {
 	return b.C
 }
 
+// groupedSpec partitions the first outputs into consecutive groups of the
+// given widths and signedness; outputs past the last group join none.
+func groupedSpec(widths []int, signed []bool) qor.OutputSpec {
+	var spec qor.OutputSpec
+	next := 0
+	for i, w := range widths {
+		bits := make([]int, w)
+		for j := range bits {
+			bits[j] = next
+			next++
+		}
+		spec.Groups = append(spec.Groups, qor.Group{
+			Name:   fmt.Sprintf("g%d", i),
+			Bits:   bits,
+			Signed: signed[i],
+		})
+	}
+	return spec
+}
+
+// fuzzKernel decomposes circ and runs rounds of random candidates on random
+// blocks. Every candidate's CompareCandidate report must equal the
+// paper-literal rebuild's; about half the rounds commit one candidate, so
+// later rounds run on an approximated circuit. It returns the effective
+// sample count.
+func fuzzKernel(t *testing.T, rng *rand.Rand, circ *logic.Circuit, spec qor.OutputSpec, samples int, seed int64) int {
+	t.Helper()
+	prepared := logic.ReorderDFS(logic.Sweep(circ))
+	blocks, err := partition.Decompose(prepared, partition.Options{MaxInputs: 5, MaxOutputs: 3})
+	if err != nil || len(blocks) == 0 {
+		t.Skipf("decompose: %v (%d blocks)", err, len(blocks))
+	}
+	ic, err := qor.NewIncrementalComparer(prepared, spec, blocks, samples, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := qor.NewEvaluator(prepared, spec, samples, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[int]*logic.Circuit{}
+	literal := func(bi int, impl *logic.Circuit) qor.Report {
+		t.Helper()
+		merged := map[int]*logic.Circuit{bi: impl}
+		for cb, ci := range committed {
+			if cb != bi {
+				merged[cb] = ci
+			}
+		}
+		circ, err := logic.ReplaceBlocks(prepared, partition.Substitutions(blocks, merged))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := eval.Compare(circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for round := 0; round < 8; round++ {
+		bi := rng.Intn(len(blocks))
+		b := &blocks[bi]
+		impls := make([]*logic.Circuit, 1+rng.Intn(8))
+		for i := range impls {
+			impls[i] = randImpl(rng, len(b.Inputs), len(b.Outputs))
+		}
+		for i, impl := range impls {
+			got, err := ic.CompareCandidate(bi, impl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := literal(bi, impl); got != want {
+				t.Fatalf("round %d block %d candidate %d: incremental %+v != paper-literal %+v",
+					round, bi, i, got, want)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			pick := impls[rng.Intn(len(impls))]
+			if _, err := ic.Commit(bi, pick); err != nil {
+				t.Fatal(err)
+			}
+			committed[bi] = pick
+		}
+	}
+	return ic.Samples()
+}
+
 func TestKernelFuzzDifferential(t *testing.T) {
 	nSeeds := *fuzzSeeds
 	if testing.Short() {
@@ -68,78 +157,75 @@ func TestKernelFuzzDifferential(t *testing.T) {
 				Gates:   40 + rng.Intn(80),
 				Outputs: 3 + rng.Intn(5),
 			})
-			prepared := logic.ReorderDFS(logic.Sweep(bc.Circ))
-			spec := qor.Unsigned("z", len(prepared.Outputs))
-			blocks, err := partition.Decompose(prepared, partition.Options{MaxInputs: 5, MaxOutputs: 3})
-			if err != nil || len(blocks) == 0 {
-				t.Skipf("decompose: %v (%d blocks)", err, len(blocks))
-			}
-			samples := 1 << (7 + rng.Intn(3))
-			ic, err := qor.NewIncrementalComparer(prepared, spec, blocks, samples, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eval, err := qor.NewEvaluator(prepared, spec, samples, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			committed := map[int]*logic.Circuit{}
-			literal := func(bi int, impl *logic.Circuit) qor.Report {
-				t.Helper()
-				merged := map[int]*logic.Circuit{bi: impl}
-				for cb, ci := range committed {
-					if cb != bi {
-						merged[cb] = ci
-					}
+			spec := qor.Unsigned("z", len(bc.Circ.Outputs))
+			fuzzKernel(t, rng, bc.Circ, spec, 1<<(7+rng.Intn(3)), seed)
+		})
+	}
+	// One wide group (15-39 bits) plus a narrow remainder, each randomly
+	// signed, so every dirty batch decodes a many-bit and a few-bit group.
+	t.Run("wide-group", func(t *testing.T) {
+		t.Parallel()
+		for seed := int64(1); seed <= int64(nSeeds); seed++ {
+			seed := seed
+			t.Run("", func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(seed * 40503))
+				nOut := 18 + rng.Intn(22)
+				bc := bench.RandomCircuit(rng, bench.RandomOptions{
+					Inputs:  6 + rng.Intn(4),
+					Gates:   60 + rng.Intn(120),
+					Outputs: nOut,
+				})
+				wide := 15 + rng.Intn(nOut-15+1)
+				widths, signs := []int{wide}, []bool{rng.Intn(2) == 0}
+				if rest := nOut - wide; rest > 0 {
+					widths = append(widths, rest)
+					signs = append(signs, rng.Intn(2) == 0)
 				}
-				circ, err := logic.ReplaceBlocks(prepared, partition.Substitutions(blocks, merged))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := eval.Compare(circ)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep
-			}
-			for round := 0; round < 8; round++ {
-				bi := rng.Intn(len(blocks))
-				b := &blocks[bi]
-				n := 1 + rng.Intn(10)
-				impls := make([]*logic.Circuit, n)
-				for i := range impls {
-					impls[i] = randImpl(rng, len(b.Inputs), len(b.Outputs))
-				}
-				ic.SetLanes(1 + rng.Intn(10))
-				batch := make([]qor.Report, n)
-				if err := ic.CompareCandidates(bi, impls, batch); err != nil {
-					t.Fatal(err)
-				}
-				for i, impl := range impls {
-					scalar, err := ic.CompareCandidate(bi, impl)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if batch[i] != scalar {
-						t.Fatalf("seed %d round %d block %d lane %d: batch %+v != scalar %+v",
-							seed, round, bi, i, batch[i], scalar)
-					}
-					// The rebuild path is the expensive oracle: check a
-					// couple of lanes per round rather than all of them.
-					if i < 2 {
-						if want := literal(bi, impl); batch[i] != want {
-							t.Fatalf("seed %d round %d block %d lane %d: batch %+v != paper-literal %+v",
-								seed, round, bi, i, batch[i], want)
-						}
-					}
-				}
-				if rng.Intn(2) == 0 {
-					pick := impls[rng.Intn(n)]
-					if _, err := ic.Commit(bi, pick); err != nil {
-						t.Fatal(err)
-					}
-					committed[bi] = pick
-				}
+				fuzzKernel(t, rng, bc.Circ, groupedSpec(widths, signs), 1<<(7+rng.Intn(3)), seed)
+			})
+		}
+	})
+}
+
+// TestLaneDecodeEdgeCases runs the kernel fuzz on fixed output
+// interpretations where decoding a dirty sample lane's group values is most
+// fragile: narrow signed groups, one-bit groups and a partial final-batch
+// mask.
+func TestLaneDecodeEdgeCases(t *testing.T) {
+	shapes := []struct {
+		name            string
+		inputs, outputs int
+		widths          []int
+		signed          []bool
+		samples         int
+		wantSamples     int // effective sample count, when the shape pins one
+	}{
+		// Two's-complement groups narrow enough that the sign bit flips
+		// often.
+		{name: "signed-groups", inputs: 7, outputs: 12,
+			widths: []int{5, 7}, signed: []bool{true, true}, samples: 256},
+		// Every group one bit wide, with alternating signedness.
+		{name: "single-bit-groups", inputs: 7, outputs: 9,
+			widths:  []int{1, 1, 1, 1, 1, 1, 1, 1, 1},
+			signed:  []bool{false, true, false, true, false, true, false, true, false},
+			samples: 256},
+		// 2^5 = 32 exhaustive samples: a single batch whose valid-sample mask
+		// covers only the low half of the word.
+		{name: "partial-final-mask", inputs: 5, outputs: 8,
+			widths: []int{8}, signed: []bool{false}, samples: 64, wantSamples: 32},
+	}
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(77))
+			bc := bench.RandomCircuit(rng, bench.RandomOptions{
+				Inputs: sh.inputs, Gates: 80, Outputs: sh.outputs,
+			})
+			got := fuzzKernel(t, rng, bc.Circ, groupedSpec(sh.widths, sh.signed), sh.samples, 1)
+			if sh.wantSamples != 0 && got != sh.wantSamples {
+				t.Fatalf("effective samples %d, want %d", got, sh.wantSamples)
 			}
 		})
 	}

@@ -18,18 +18,6 @@ var (
 	mSimSeconds = telemetry.Default().Counter(
 		"blasys_qor_eval_sim_seconds_total",
 		"Cumulative time in the per-batch simulate/fold loop of candidate evals.")
-	// Decode time is a subset of the simulate window above; the quotient is
-	// the decode fraction the lane-shared decode (decode.go) exists to
-	// shrink. Timed per dirty batch — clean batches fold cached partials and
-	// skip the decode entirely, so the two extra clock reads only land where
-	// real decode work happens.
-	mDecodeSeconds = telemetry.Default().Counter(
-		"blasys_qor_eval_decode_seconds_total",
-		"Cumulative time in the metric decode of candidate evals (subset of the simulate phase).")
-	mDecodeGroups = telemetry.Default().CounterVec(
-		"blasys_qor_decode_groups_total",
-		"(Group, lane, batch) decodes by the lane-shared batch decode, by strategy: flip (per-bit flips from the shared diff scan) vs transpose (64x64 bit-matrix gather).",
-		"path")
 	mEvalBatchKind = telemetry.Default().CounterVec(
 		"blasys_qor_eval_batches_total",
 		"Sample batches processed by candidate evals, by outcome: clean (cached partial folded) vs cone (re-simulated).",
@@ -37,12 +25,5 @@ var (
 	mEvalBatches = telemetry.Default().Histogram(
 		"blasys_qor_eval_batch_count",
 		"Sample batches examined per candidate eval (0 when the dirty cone misses every output).",
-		telemetry.CountBuckets)
-	mBatchPasses = telemetry.Default().Counter(
-		"blasys_qor_batch_passes_total",
-		"Fused lane-packed evaluation passes (one shared cone compile covering all lanes of a chunk).")
-	mBatchLanes = telemetry.Default().Histogram(
-		"blasys_qor_batch_lane_count",
-		"Candidate lanes fused per batch evaluation pass.",
 		telemetry.CountBuckets)
 )

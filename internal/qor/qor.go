@@ -24,6 +24,12 @@ import (
 // assignments instead of sampling.
 const ExhaustiveLimit = 20
 
+// MaxSamples bounds the sample count an evaluator accepts. Evaluators hold
+// input and reference words plus a reference decode for every 64-sample
+// batch, so the sample count sets their memory. 2^20 is the paper's
+// final-report count and the largest this repository requests.
+const MaxSamples = 1 << 20
+
 // Group interprets a subset of circuit outputs as one number.
 type Group struct {
 	Name string
@@ -159,8 +165,12 @@ type Evaluator struct {
 
 // NewEvaluator prepares an evaluator with the given Monte-Carlo sample count
 // and seed. If the reference circuit has at most ExhaustiveLimit inputs and
-// 2^inputs <= samples, evaluation is exhaustive and exact.
+// 2^inputs <= samples, evaluation is exhaustive and exact. Sample counts
+// above MaxSamples are rejected.
 func NewEvaluator(ref *logic.Circuit, spec OutputSpec, samples int, seed int64) (*Evaluator, error) {
+	if samples > MaxSamples {
+		return nil, fmt.Errorf("qor: %d samples exceed the maximum %d", samples, MaxSamples)
+	}
 	if samples < 64 {
 		samples = 64
 	}

@@ -212,6 +212,14 @@ func TestEvaluatorErrors(t *testing.T) {
 	if _, err := NewEvaluator(ref, OutputSpec{Groups: []Group{{Name: "bad", Bits: []int{99}}}}, 64, 1); err == nil {
 		t.Error("accepted out-of-range output bit")
 	}
+	// The bound holds even where exhaustive enumeration would cap the count.
+	if _, err := NewEvaluator(ref, Unsigned("s", 5), MaxSamples+1, 1); err == nil {
+		t.Error("accepted more than MaxSamples samples")
+	}
+	c, seq := counterCircuit(4)
+	if _, err := NewSequentialEvaluator(c, Unsigned("s", 4), seq, MaxSamples+1, 1); err == nil {
+		t.Error("sequential evaluator accepted more than MaxSamples samples")
+	}
 	e, err := NewEvaluator(ref, Unsigned("s", 5), 64, 1)
 	if err != nil {
 		t.Fatal(err)

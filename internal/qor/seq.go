@@ -75,9 +75,13 @@ type SequentialEvaluator struct {
 
 // NewSequentialEvaluator prepares the evaluator. samples is the total number
 // of evaluated (chain, step) points: chains = ceil(samples / (64*steps)).
+// Sample counts above MaxSamples are rejected.
 func NewSequentialEvaluator(ref *logic.Circuit, spec OutputSpec, seq Sequence, samples int, seed int64) (*SequentialEvaluator, error) {
 	if err := seq.Validate(ref); err != nil {
 		return nil, err
+	}
+	if samples > MaxSamples {
+		return nil, fmt.Errorf("qor: %d samples exceed the maximum %d", samples, MaxSamples)
 	}
 	for gi, g := range spec.Groups {
 		if len(g.Bits) == 0 || len(g.Bits) > 63 {

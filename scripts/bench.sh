@@ -24,15 +24,8 @@
 #   scripts/bench.sh                      # full suite, BENCH_$(date +%F).json
 #   scripts/bench.sh 'Compare|Explore'    # only benchmarks matching the pattern
 #   scripts/bench.sh -workers 8           # worker count for the parallel-sweep leg
-#   scripts/bench.sh -benchbatch 8        # lane width for the fused batch legs
 #   scripts/bench.sh -f                   # overwrite an existing output file
 #   OUT=custom.json scripts/bench.sh      # override the output file
-#
-# -benchbatch feeds the batch-kernel legs of BenchmarkCompare (the per-block
-# candidate ladder evaluated through qor.CompareCandidates) and
-# BenchmarkExplore (the Result.BlockErrorProfiles surface); they report
-# batch-candidate-evals/sec, batch-allocs/op and batch-speedup-x rows into
-# the BENCH record.
 #
 # An existing output file is never clobbered without -f: committed
 # BENCH_<date>.json records are the bench-regression gate's baseline, and a
@@ -43,18 +36,12 @@ cd "$(dirname "$0")/.."
 
 PATTERN='.'
 WORKERS=''
-BATCH=''
 FORCE=''
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-workers)
 		[ $# -ge 2 ] || { echo "bench.sh: -workers needs a value" >&2; exit 2; }
 		WORKERS="$2"
-		shift 2
-		;;
-	-benchbatch)
-		[ $# -ge 2 ] || { echo "bench.sh: -benchbatch needs a value" >&2; exit 2; }
-		BATCH="$2"
 		shift 2
 		;;
 	-f)
@@ -88,11 +75,10 @@ check_status() {
 	fi
 }
 
-echo "== root benchmarks (pattern: $PATTERN${WORKERS:+, workers: $WORKERS}${BATCH:+, batch: $BATCH}) -> $OUT"
+echo "== root benchmarks (pattern: $PATTERN${WORKERS:+, workers: $WORKERS}) -> $OUT"
 status=0
 go test . -run '^$' -bench "$PATTERN" -benchtime 1x -benchmem \
-	-timeout 60m -benchjson "$OUT" ${WORKERS:+-workers "$WORKERS"} \
-	${BATCH:+-benchbatch "$BATCH"} || status=$?
+	-timeout 60m -benchjson "$OUT" ${WORKERS:+-workers "$WORKERS"} || status=$?
 check_status "root benchmarks" "$status"
 
 echo "== engine service benchmarks"

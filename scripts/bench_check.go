@@ -4,9 +4,9 @@
 // watched throughput metric regressed beyond the tolerance.
 //
 // The default watch set covers the hot-path headline throughputs
-// (candidate-evals/sec, explore-steps/sec, batch-candidate-evals/sec) plus
-// the same-process speedup ratios (candidate-eval-speedup-x,
-// explore-speedup-x, batch-speedup-x). The ratios compare two legs measured
+// (candidate-evals/sec, explore-steps/sec) plus the same-process speedup
+// ratios (candidate-eval-speedup-x, explore-speedup-x). The ratios compare
+// two legs measured
 // in the same run, so machine speed cancels out and they stay meaningful
 // across dissimilar hardware; the absolute rates catch regressions the
 // ratios cannot (both legs slowing down together) but are inherently noisier
@@ -17,23 +17,18 @@
 // not pass the gate.
 //
 // -ceilings gates absolute upper bounds on the FRESH record alone, without
-// needing a baseline row: 'batch-allocs/op=8' fails the gate if any fresh
-// metric with unit batch-allocs/op exceeds 8, and also fails if no fresh
-// metric carries that unit at all (a vanished benchmark must not pass). This
-// is how per-op allocation budgets on the fused batch path are enforced —
-// allocation counts are machine-independent, so a hard ceiling is reliable
-// where absolute throughput is not. The same mechanism bounds the decode
-// fraction ('batch-decode-fraction=0.90'): a dimensionless within-run ratio
-// (decode seconds / simulate seconds, see internal/qor/metrics.go), so a
-// decode-path regression fails the gate even on a runner whose absolute
-// throughput differs wildly from the baseline machine's.
+// needing a baseline row: 'allocs/op=16' fails the gate if any fresh metric
+// with unit allocs/op exceeds 16, and also fails if no fresh metric carries
+// that unit at all (a vanished benchmark must not pass). Allocation counts
+// are machine-independent, so a hard ceiling is reliable where absolute
+// throughput is not.
 //
 // Usage:
 //
 //	go run scripts/bench_check.go -new BENCH_ci.json
 //	go run scripts/bench_check.go -new BENCH_ci.json -baseline BENCH_2026-07-29.json \
 //	    -max-regress 0.30 -units 'candidate-evals/sec,explore-steps/sec' \
-//	    -ceilings 'batch-allocs/op=8'
+//	    -ceilings 'allocs/op=16'
 //
 // Without -baseline, the lexicographically newest BENCH_*.json in the
 // current directory other than -new is used (file names embed ISO dates, so
@@ -72,11 +67,10 @@ func main() {
 		basePath   = flag.String("baseline", "", "committed baseline record (default: newest BENCH_*.json other than -new)")
 		maxRegress = flag.Float64("max-regress", 0.30, "maximum tolerated fractional drop per watched metric")
 		unitsFlag  = flag.String("units",
-			"candidate-evals/sec,explore-steps/sec,candidate-eval-speedup-x,explore-speedup-x,"+
-				"batch-candidate-evals/sec,batch-speedup-x",
+			"candidate-evals/sec,explore-steps/sec,candidate-eval-speedup-x,explore-speedup-x",
 			"comma-separated metric units to gate on")
 		ceilFlag = flag.String("ceilings", "",
-			"comma-separated unit=max pairs checked against the fresh record only (e.g. 'batch-allocs/op=8')")
+			"comma-separated unit=max pairs checked against the fresh record only (e.g. 'allocs/op=16')")
 	)
 	flag.Parse()
 	if *newPath == "" {
