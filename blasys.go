@@ -208,7 +208,7 @@ type (
 	// JobEvent is one entry of a job's live progress stream (Job.Subscribe,
 	// GET /v1/jobs/{id}/events).
 	JobEvent = engine.Event
-	// JobStore is the durable snapshot+journal job store: assign one to
+	// JobStore is the durable journal+step-log job store: assign one to
 	// EngineOptions.Store and jobs survive process restarts — finished
 	// results are served immediately after a restart and interrupted
 	// explorations resume from their last committed step.

@@ -250,9 +250,18 @@ func TestChaosCrashWhileDegradedResumesByteIdentical(t *testing.T) {
 	// "Crash": shut down while degraded (probes still failing). The journal
 	// on disk ends at "running" with the last healthy checkpoint beside it.
 	e.Close()
+	// The first two checkpoint appends landed before the disk died.
+	durable := j.durableBase().Step
+	if durable != 2 {
+		t.Fatalf("%d steps made durable before the disk died, want 2", durable)
+	}
+	if got := replayedStep(t, dir, j.ID); got != durable {
+		t.Fatalf("replay folds the job to step %d, want the %d durable steps", got, durable)
+	}
 
 	// Restart on the healed disk: the job resumes from that checkpoint and
 	// finishes byte-identical to the uninterrupted reference.
+	restart := time.Now()
 	e2 := New(Options{Workers: 1, Store: openStore(t, dir), Resume: true})
 	defer e2.Close()
 	if m := e2.Metrics(); m.JobsResumed != 1 {
@@ -271,6 +280,71 @@ func TestChaosCrashWhileDegradedResumesByteIdentical(t *testing.T) {
 	}
 	if got := blifBytes(t, j2); !bytes.Equal(wantBLIF, got) {
 		t.Fatal("crash-while-degraded resume is not byte-identical")
+	}
+	if got := stepsRunSince(j2, restart); got != len(wantSteps)-durable {
+		t.Fatalf("resumed run committed %d steps, want the remaining %d", got, len(wantSteps)-durable)
+	}
+}
+
+// TestCheckpointEventsOnlyWhenDurable: a checkpoint event promises that the
+// state through its step is on disk. On a healthy disk a 3-step job
+// announces each step; when every checkpoint append fails, the job still
+// finishes (memory-only, degraded) but announces none.
+func TestCheckpointEventsOnlyWhenDurable(t *testing.T) {
+	cfg := persistCfg()
+	cfg.MaxSteps = 3
+	for _, sick := range []bool{false, true} {
+		st := openStore(t, t.TempDir())
+		st.SetRetryPolicy(chaosRetry)
+		st.SetProbeInterval(time.Hour) // stay degraded once tripped
+		if sick {
+			st.SetFaults(faults.New(1).Add(faults.Rule{Op: faults.OpCheckpointWrite, Err: faults.ErrNoSpace}))
+		}
+		e := New(Options{Workers: 1, Store: st})
+		// Hold the only worker, so the subscription is in place before the
+		// job under test commits its first step.
+		blocker, err := e.Submit(adderRequest(t, 8, core.Config{Samples: 1 << 16, Seed: 1, ExploreFully: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for blocker.State() == StateQueued && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		j, err := e.Submit(adderRequest(t, 4, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, unsub := j.Subscribe()
+		if _, err := e.Cancel(blocker.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		var steps []int
+		traces := 0
+		for ev := range ch {
+			switch ev.Type {
+			case EventCheckpoint:
+				steps = append(steps, ev.Step)
+			case EventTrace:
+				traces++
+			}
+		}
+		unsub()
+		if j.State() != StateDone || traces != 3 {
+			t.Fatalf("sick=%t: job %s with %d trace events, want done with 3", sick, j.State(), traces)
+		}
+		want := []int{1, 2, 3}
+		if sick {
+			want = nil
+			if !e.Metrics().Degraded {
+				t.Fatal("every checkpoint append failed, yet the engine is not degraded")
+			}
+		}
+		if !reflect.DeepEqual(steps, want) {
+			t.Fatalf("sick=%t: checkpoint events for steps %v, want %v", sick, steps, want)
+		}
+		e.Close()
 	}
 }
 
@@ -297,6 +371,9 @@ func TestDeadlineTimeout(t *testing.T) {
 		t.Fatalf("metrics = %+v, want exactly one timeout", m)
 	}
 	hadCheckpoint := j.checkpoint() != nil
+	if got, want := replayedStep(t, dir, j.ID), j.durableBase().Step; got != want {
+		t.Fatalf("replay folds the timed-out job to step %d, want the %d durable steps", got, want)
+	}
 	var wantFront []core.FrontierPoint
 	if hadCheckpoint {
 		fr := j.Frontier()

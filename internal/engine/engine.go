@@ -501,8 +501,10 @@ func (e *Engine) Cancel(id string) (State, error) {
 	if job.cancelQueued() {
 		e.cancelled.Add(1)
 		e.met.cancelled.Inc()
+		job.persistMu.Lock()
 		e.persistState(job, StateCancelled, "cancelled while queued")
 		e.persistClose(job, false)
+		job.persistMu.Unlock()
 		return StateCancelled, nil
 	}
 	job.mu.Lock()
@@ -640,12 +642,13 @@ func (e *Engine) liveJobs() []*Job {
 
 // reconcile re-journals every dirty job from memory after the store
 // recovered: a job that reached a terminal state while degraded gets its
-// request, terminal state, and result (or, for timeouts, checkpoint) durably
-// recorded now — restoring the invariant that a restart serves exactly what
-// this process served; a still-running dirty job gets its request, running
-// state, and latest checkpoint re-persisted so a crash after recovery
-// resumes it correctly. Returns the number of jobs fully reconciled; a job
-// whose re-journaling fails again stays dirty for the next recovery.
+// request, terminal state, and result (or, for timeouts, exploration state)
+// durably recorded now — restoring the invariant that a restart serves
+// exactly what this process served; a still-running dirty job gets its
+// request, running state, and latest exploration state re-persisted so a
+// crash after recovery resumes it correctly. Returns the number of jobs
+// fully reconciled; a job whose re-journaling fails again stays dirty for
+// the next recovery.
 func (e *Engine) reconcile() int {
 	if e.opts.Store == nil {
 		return 0
@@ -670,6 +673,8 @@ func (e *Engine) reconcile() int {
 
 // reconcileJob re-journals one dirty job from memory; reports success.
 func (e *Engine) reconcileJob(job *Job) bool {
+	job.persistMu.Lock()
+	defer job.persistMu.Unlock()
 	warn := func(what string, err error) bool {
 		e.opts.Logger.Warn("engine: reconcile "+what+" failed; job stays dirty",
 			"job", job.ID, "err", err)
@@ -717,10 +722,8 @@ func (e *Engine) reconcileJob(job *Job) bool {
 			return warn("state", err)
 		}
 	case StateTimeout:
-		if cp := job.checkpoint(); cp != nil {
-			if err := e.opts.Store.WriteCheckpoint(job.ID, cp); err != nil {
-				return warn("checkpoint", err)
-			}
+		if err := rewriteCheckpoint(job, jnl); err != nil {
+			return warn("checkpoint", err)
 		}
 		if err := jnl.State(string(StateTimeout), job.errString()); err != nil {
 			return warn("state", err)
@@ -729,14 +732,12 @@ func (e *Engine) reconcileJob(job *Job) bool {
 		if err := jnl.State(string(state), job.errString()); err != nil {
 			return warn("state", err)
 		}
-	default: // queued or running: durable resume needs the latest snapshot
+	default: // queued or running: durable resume needs the latest state
 		if err := jnl.State(string(state), ""); err != nil {
 			return warn("state", err)
 		}
-		if cp := job.checkpoint(); cp != nil {
-			if err := e.opts.Store.WriteCheckpoint(job.ID, cp); err != nil {
-				return warn("checkpoint", err)
-			}
+		if err := rewriteCheckpoint(job, jnl); err != nil {
+			return warn("checkpoint", err)
 		}
 	}
 	job.clearDirty()
@@ -827,8 +828,7 @@ func (e *Engine) run(job *Job) {
 	// reconciliation re-persists after a degraded window.
 	cfg.Checkpoint = func(st core.ExplorerState) {
 		job.setCheckpoint(&st)
-		if e.opts.Store != nil {
-			e.persistCheckpoint(job, &st)
+		if e.persistCheckpoint(job, &st) {
 			job.publishCheckpoint(st.Step)
 		}
 	}
@@ -847,6 +847,8 @@ func (e *Engine) run(job *Job) {
 	runSpan.End()
 	job.span.End()
 	hits, misses := cc.hits.Load(), cc.misses.Load()
+	job.persistMu.Lock()
+	defer job.persistMu.Unlock()
 	switch {
 	case err == nil:
 		e.completed.Add(1)

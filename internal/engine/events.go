@@ -13,7 +13,9 @@ const (
 	// EventTrace carries one committed exploration step.
 	EventTrace = "trace"
 	// EventCheckpoint announces that the exploration state through the given
-	// step was durably snapshotted (emitted only on engines with a store).
+	// step is durable: its step-log record was appended and fsynced. It is
+	// emitted only on engines with a store, and only after a write that
+	// landed — a step whose append failed (degraded store) announces none.
 	EventCheckpoint = "checkpoint"
 	// EventStage carries one completed timeline span (queue, run, profile,
 	// explore, step), summarizing where the job just spent its time.

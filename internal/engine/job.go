@@ -108,6 +108,17 @@ type Job struct {
 	// the frontier lazily rebuilt from it.
 	lastCheckpoint *core.ExplorerState
 	cpFrontier     *core.Frontier
+	// durable is the position of the job's last durable checkpoint, the
+	// base its next step-log record extends. It starts at the resumed
+	// checkpoint's position and advances only after a successful append,
+	// so a failed append just makes the next record longer.
+	durable store.Position
+	// persistMu serializes a job's terminal bookkeeping on the store (the
+	// worker's, or Cancel's for a queued job) with its reconciliation.
+	// Without it a reconcile could pick up the journal the terminal path
+	// was closing, fail to append to it, and leave the job dirty with no
+	// further recovery to retry it.
+	persistMu sync.Mutex
 	// persistDirty marks that at least one persist call failed (degraded
 	// store or plain I/O error) so reconciliation must re-journal this job
 	// from memory once the store recovers.
@@ -219,6 +230,24 @@ func (j *Job) checkpoint() *core.ExplorerState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.lastCheckpoint
+}
+
+// durableBase returns the position of the job's last durable checkpoint.
+func (j *Job) durableBase() store.Position {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.durable
+}
+
+// markDurable records that the state at p reached the step log. The
+// position only moves forward: the worker and reconciliation may both
+// append, in either order.
+func (j *Job) markDurable(p store.Position) {
+	j.mu.Lock()
+	if p.Step > j.durable.Step {
+		j.durable = p
+	}
+	j.mu.Unlock()
 }
 
 // markDirty flags the job for post-recovery reconciliation.

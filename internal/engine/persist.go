@@ -111,19 +111,39 @@ func (e *Engine) persistTrace(job *Job, p core.TracePoint) {
 	}
 }
 
-// persistCheckpoint atomically replaces the job's exploration snapshot.
-func (e *Engine) persistCheckpoint(job *Job, st *core.ExplorerState) {
-	if e.opts.Store == nil {
-		return
+// persistCheckpoint makes the job's exploration state durable with one
+// fsynced step-log record holding what st adds past the last durable
+// checkpoint, and reports whether it did.
+func (e *Engine) persistCheckpoint(job *Job, st *core.ExplorerState) bool {
+	jnl := job.journal()
+	if jnl == nil {
+		return false
 	}
-	if err := e.opts.Store.WriteCheckpoint(job.ID, st); err != nil {
+	if err := jnl.Checkpoint(st, job.durableBase()); err != nil {
 		job.markDirty()
 		e.opts.Logger.Warn("engine: write checkpoint", "job", job.ID, "err", err)
+		return false
 	}
+	job.markDurable(store.PositionOf(st))
+	return true
 }
 
-// persistResult journals a finished job's result and done state, and drops
-// the now-superseded checkpoint snapshot.
+// rewriteCheckpoint appends the job's latest exploration state whole, based
+// at step 0: reconciliation cannot tell what the step log kept through the
+// degraded window.
+func rewriteCheckpoint(job *Job, jnl *store.Journal) error {
+	cp := job.checkpoint()
+	if cp == nil {
+		return nil
+	}
+	if err := jnl.Checkpoint(cp, store.Position{}); err != nil {
+		return err
+	}
+	job.markDurable(store.PositionOf(cp))
+	return nil
+}
+
+// persistResult journals a finished job's result and done state.
 func (e *Engine) persistResult(job *Job, res *core.Result, hits, misses uint64) {
 	jnl := job.journal()
 	if jnl == nil {
@@ -144,12 +164,15 @@ func (e *Engine) persistResult(job *Job, res *core.Result, hits, misses uint64) 
 	}
 }
 
-// persistClose closes a terminal job's journal, releasing its descriptor,
-// and — unless keepCheckpoint — drops the now-superseded checkpoint snapshot
-// (every terminal path ends here; the journal's terminal record is what
-// survives). Timed-out jobs keep their checkpoint: it is the durable record
-// of the best-so-far frontier the deadline bought, and restarts serve the
-// frontier from it.
+// persistClose closes a terminal job's journal and step log, releasing
+// their descriptors, and — unless keepCheckpoint — drops the now-superseded
+// exploration state (every terminal path ends here; the journal's terminal
+// record is what survives). Timed-out jobs keep their step log: it is the
+// durable record of the best-so-far frontier the deadline bought, and
+// restarts serve the frontier from it. A dirty job keeps it too: its
+// terminal record may not be on disk, so the step log stays the durable
+// resume point until reconciliation lands the record and closes the job
+// again.
 func (e *Engine) persistClose(job *Job, keepCheckpoint bool) {
 	jnl := job.journal()
 	if jnl == nil {
@@ -161,7 +184,7 @@ func (e *Engine) persistClose(job *Job, keepCheckpoint bool) {
 	if err := jnl.Close(); err != nil {
 		e.opts.Logger.Warn("engine: close journal", "job", job.ID, "err", err)
 	}
-	if keepCheckpoint {
+	if keepCheckpoint || job.dirty() {
 		return
 	}
 	if err := e.opts.Store.RemoveCheckpoint(job.ID); err != nil {
@@ -262,8 +285,9 @@ func requeueJob(opts Options, rec *store.JobRecord) (*Job, error) {
 			// process's run, not the job's cumulative lifetime.
 			Deadline: rec.Request.Deadline(),
 		},
-		done:   make(chan struct{}),
-		resume: rec.Checkpoint,
+		done:    make(chan struct{}),
+		resume:  rec.Checkpoint,
+		durable: store.PositionOf(rec.Checkpoint),
 		// The prior run's completed spans; the engine imports them when it
 		// attaches the fresh timeline, so the resumed job's timeline spans
 		// both lives.

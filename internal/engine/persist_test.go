@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/blasys-go/blasys/internal/core"
+	"github.com/blasys-go/blasys/internal/faults"
 	"github.com/blasys-go/blasys/internal/store"
 )
 
@@ -44,6 +45,36 @@ func blifBytes(t *testing.T, j *Job) []byte {
 		t.Fatalf("ResultBLIF: %v", err)
 	}
 	return []byte(text)
+}
+
+// replayedStep replays the store in dir and returns the step count of the
+// job's folded exploration state (0 without one).
+func replayedStep(t *testing.T, dir, id string) int {
+	t.Helper()
+	recs, err := openStore(t, dir).Replay()
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	for _, rec := range recs {
+		if rec.ID == id {
+			return store.PositionOf(rec.Checkpoint).Step
+		}
+	}
+	t.Fatalf("job %s not in the store", id)
+	return 0
+}
+
+// stepsRunSince counts the exploration steps a job committed from t on: its
+// "step" spans that started then or later. A resumed job's timeline also
+// holds the spans imported from before the restart, which started earlier.
+func stepsRunSince(j *Job, t time.Time) int {
+	n := 0
+	for _, r := range j.Timeline() {
+		if r.Name == "step" && !r.Start.Before(t) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRestartServesCompletedJob(t *testing.T) {
@@ -121,14 +152,14 @@ func runReference(t *testing.T, dir string, req Request) (*Job, *store.RequestRe
 	return nil, nil
 }
 
-// interruptedStore fabricates the exact on-disk state a process killed
-// mid-exploration leaves behind: a journal ending at "running" (request,
-// state transitions, the trace streamed so far) plus the atomically-written
-// checkpoint snapshot of the walk through step k. The walk is re-derived
-// deterministically at the core level from the journaled request record —
-// byte-for-byte the state the dying process had persisted. (A live-kill
-// variant cannot be timed reliably on a single-CPU runner; the CI
-// serve-smoke script kills a real blasys-serve process instead.)
+// interruptedStore fabricates a store holding what a process killed
+// mid-exploration leaves when it keeps a whole-state snapshot instead of a
+// step log: a journal ending at "running" (request, state transitions, the
+// trace streamed so far) plus the snapshot of the walk through step k. The
+// walk is re-derived deterministically at the core level from the journaled
+// request record, so replay must start from the snapshot alone. (A live
+// interruption of a step-log run is TestShutdownMidWalkResumesFromStepLog;
+// the CI serve-smoke script kills a real blasys-serve process.)
 func interruptedStore(t *testing.T, dir, id string, req *store.RequestRecord, k int) {
 	t.Helper()
 	circ, spec, cfg, err := req.Materialize()
@@ -180,7 +211,12 @@ func TestKillMidRunResumeIsByteIdenticalToUninterrupted(t *testing.T) {
 	// Interrupted run: the store holds the state a kill after step 2 leaves.
 	dir := t.TempDir()
 	interruptedStore(t, dir, "job-interrupted", reqRec, 2)
+	const durable = 3
+	if got := replayedStep(t, dir, "job-interrupted"); got != durable {
+		t.Fatalf("replay folds the interrupted job to step %d, want %d", got, durable)
+	}
 
+	restart := time.Now()
 	e2 := New(Options{Workers: 1, Store: openStore(t, dir), Resume: true})
 	defer e2.Close()
 	if m := e2.Metrics(); m.JobsResumed != 1 {
@@ -210,6 +246,83 @@ func TestKillMidRunResumeIsByteIdenticalToUninterrupted(t *testing.T) {
 	// The resumed trace must cover the whole walk, not only the tail.
 	if st := j2.Snapshot(true); len(st.Trace) != len(res.Steps) {
 		t.Fatalf("resumed trace has %d points for %d steps", len(st.Trace), len(res.Steps))
+	}
+	if got := stepsRunSince(j2, restart); got != len(res.Steps)-durable {
+		t.Fatalf("resumed run committed %d steps, want the remaining %d", got, len(res.Steps)-durable)
+	}
+}
+
+// TestShutdownMidWalkResumesFromStepLog interrupts a real run: the engine
+// shuts down while the job's third checkpoint is being appended, which
+// leaves the journal at "running" and the step log holding exactly the three
+// steps whose appends landed. The restarted engine folds the log back into
+// that state and commits only the remaining steps, to a result
+// byte-identical to an uninterrupted run; the finished job keeps no step
+// records.
+func TestShutdownMidWalkResumesFromStepLog(t *testing.T) {
+	req := adderRequest(t, 5, slowCfg())
+	jRef, _ := runReference(t, t.TempDir(), req)
+	wantBLIF := blifBytes(t, jRef)
+	wantSteps := jRef.Result().Steps
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	// A slow disk holds the walk inside its third checkpoint append long
+	// enough to shut the engine down there: the append still lands, and the
+	// walk stops before its next step.
+	const durable = 3
+	st.SetFaults(faults.New(1).Add(faults.Rule{
+		Op: faults.OpCheckpointWrite, After: durable - 1, Times: 1, Latency: time.Second}))
+	e := New(Options{Workers: 1, Store: st})
+	j, err := e.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for len(j.Snapshot(true).Trace) < durable && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	e.Close()
+	if j.State() != StateCancelled {
+		t.Fatalf("job after shutdown: %s (%v), want cancelled in memory", j.State(), j.Err())
+	}
+	if got := j.durableBase().Step; got != durable {
+		t.Fatalf("%d steps made durable before the shutdown, want %d", got, durable)
+	}
+	recs, err := openStore(t, dir).Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].State != "running" {
+		t.Fatalf("shutdown should leave the journal at running; replay = %+v", recs)
+	}
+	if got := replayedStep(t, dir, j.ID); got != durable {
+		t.Fatalf("replay folds the step log to step %d, want %d", got, durable)
+	}
+
+	restart := time.Now()
+	e2 := New(Options{Workers: 1, Store: openStore(t, dir), Resume: true})
+	defer e2.Close()
+	j2, err := e2.Get(j.ID)
+	if err != nil {
+		t.Fatalf("interrupted job not requeued: %v", err)
+	}
+	waitDone(t, j2)
+	if j2.State() != StateDone {
+		t.Fatalf("resumed job: %s (%v)", j2.State(), j2.Err())
+	}
+	if !reflect.DeepEqual(wantSteps, j2.Result().Steps) {
+		t.Fatal("resumed trajectory diverged from the uninterrupted run")
+	}
+	if got := blifBytes(t, j2); !bytes.Equal(wantBLIF, got) {
+		t.Fatal("resumed netlist is not byte-identical to the uninterrupted run")
+	}
+	if got := stepsRunSince(j2, restart); got != len(wantSteps)-durable {
+		t.Fatalf("resumed run committed %d steps, want the remaining %d", got, len(wantSteps)-durable)
+	}
+	e2.Close() // the worker drops the step log after publishing the result
+	if _, err := os.Stat(filepath.Join(dir, "jobs", j.ID+".steps")); !os.IsNotExist(err) {
+		t.Fatalf("finished job kept its step log (stat err %v)", err)
 	}
 }
 
@@ -324,6 +437,9 @@ func TestCancelDuringResume(t *testing.T) {
 	dir := t.TempDir()
 	const id = "job-cancel-resume"
 	interruptedStore(t, dir, id, reqRec, 1)
+	if got := replayedStep(t, dir, id); got != 2 {
+		t.Fatalf("replay folds the interrupted job to step %d, want 2", got)
+	}
 
 	// Restart and cancel the resumed job straight away — it is either still
 	// queued or already running; both paths must journal a terminal
@@ -350,10 +466,13 @@ func TestCancelDuringResume(t *testing.T) {
 	}
 	e2.Close()
 
-	// The superseded checkpoint snapshot is dropped on every terminal path,
-	// cancellation included.
+	// The superseded exploration state — snapshot and step log — is dropped
+	// on every terminal path, cancellation included.
 	if cp, err := openStore(t, dir).ReadCheckpoint(id); err != nil || cp != nil {
 		t.Fatalf("checkpoint survived cancellation: cp=%v err=%v", cp, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", id+".steps")); !os.IsNotExist(err) {
+		t.Fatalf("step log survived cancellation (stat err %v)", err)
 	}
 
 	// Third start: the cancellation is durable — the job is restored as

@@ -6,8 +6,9 @@ import (
 
 // Durability-layer telemetry. The journal/fsync/checkpoint histograms are
 // the service's write-amplification dashboard: every journal append, every
-// fsync forced by a terminal record, and every atomic checkpoint replace is
-// timed. Replay counters quantify what a restart recovered.
+// fsync forced by a terminal record, and every checkpoint write (one
+// step-log append per committed step) is timed. Replay counters quantify
+// what a restart recovered.
 var (
 	mJournalAppend = telemetry.Default().Histogram(
 		"blasys_store_journal_append_seconds",
@@ -19,7 +20,7 @@ var (
 		telemetry.DurationBuckets)
 	mCheckpointWrite = telemetry.Default().Histogram(
 		"blasys_store_checkpoint_write_seconds",
-		"Latency of one atomic checkpoint replace (write + fsync + rename).",
+		"Latency of one checkpoint write: encoding a step-log record, appending it and fsyncing it (for a whole-state snapshot: write + fsync + rename).",
 		telemetry.DurationBuckets)
 	mReplay = telemetry.Default().Histogram(
 		"blasys_store_replay_seconds",

@@ -1,28 +1,38 @@
 // Package store is the durability layer of the approximation service: a
-// snapshot+journal job store on disk plus a disk-backed factorization cache
+// journal+step-log job store on disk plus a disk-backed factorization cache
 // (cache.go), keyed by job ID and content address respectively.
 //
 // Layout under the store directory:
 //
 //	jobs/<id>.journal     append-only JSONL: request, state transitions,
-//	                      trace points, terminal result — written as they
-//	                      happen, one self-contained record per line
-//	jobs/<id>.checkpoint  atomically-replaced JSON snapshot of the
-//	                      exploration's latest core.ExplorerState
+//	                      trace points, spans, terminal result — written as
+//	                      they happen, one self-contained record per line
+//	jobs/<id>.steps       append-only JSONL step log: one fsynced record per
+//	                      committed exploration step, holding what the
+//	                      core.ExplorerState gained since the last durable
+//	                      record plus its small fields whole; deleted when
+//	                      the job finishes (a timed-out job keeps it)
+//	jobs/<id>.checkpoint  optional whole core.ExplorerState snapshot,
+//	                      atomically replaced; replay folds the step log onto
+//	                      it. The engine writes only the step log, so a
+//	                      snapshot comes from a store written before the step
+//	                      log existed or from a caller of WriteCheckpoint
 //	cache/<aa>/<key>.json content-addressed factorization results
 //
-// The split follows the classic snapshot+journal recipe: the journal holds
-// small monotone facts (cheap appends, trivially replayable, a torn final
-// line loses at most one record), while the checkpoint — whose size grows
-// with the exploration — is a whole-file snapshot replaced via
-// write-to-temp + rename so a crash always leaves either the old or the new
-// state, never a torn one.
+// Both job files hold small monotone facts: appends are cheap, replay is a
+// fold, and a torn final line loses at most one record. The step log keeps
+// the bytes written per step proportional to that step's growth (its new
+// trajectory entry and frontier points) instead of the whole state so far,
+// and still costs one fsync per committed step. Replay starts from the
+// snapshot, if any, and applies each step record that extends the state
+// reached so far; retried duplicates and records already covered are
+// skipped.
 //
-// Replay is deliberately lenient: a corrupt or truncated journal line is
-// skipped with a logged warning (the crash that necessitated the replay is
-// exactly when a torn write is expected), and an unreadable checkpoint
-// degrades to resuming from step 0. Replay never fails the whole store open
-// for one damaged job.
+// Replay is deliberately lenient: a corrupt or truncated journal or step-log
+// line is skipped with a logged warning (the crash that necessitated the
+// replay is exactly when a torn write is expected), and an unreadable or
+// inconsistent exploration state degrades to resuming from step 0. Replay
+// never fails the whole store open for one damaged job.
 package store
 
 import (
@@ -51,6 +61,7 @@ const (
 	cacheSubdir = "cache"
 
 	journalExt    = ".journal"
+	stepsExt      = ".steps"
 	checkpointExt = ".checkpoint"
 )
 
@@ -186,18 +197,13 @@ type entry struct {
 	CacheMisses uint64 `json:"cache_misses,omitempty"`
 }
 
-// Journal is one job's append-only record stream.
+// Journal is one job's append-only record stream: its journal file, and the
+// step log its Checkpoint appends to (opened on the first checkpoint).
 type Journal struct {
-	id string
-	st *Store
-
-	mu sync.Mutex
-	f  *os.File
-	// torn marks that the last append may have left a partial line on disk
-	// (a short write, real or injected). The next append poisons that tail
-	// with a newline first, so the retried record starts on a fresh line and
-	// replay skips only the corrupt fragment.
-	torn bool
+	id    string
+	st    *Store
+	log   appendLog
+	steps appendLog
 }
 
 // Journal opens (appending) the journal for a job ID, creating it on first
@@ -211,19 +217,21 @@ func (s *Store) Journal(id string) (*Journal, error) {
 	if j, ok := s.journals[id]; ok {
 		return j, nil
 	}
-	var f *os.File
+	j := &Journal{
+		id:    id,
+		st:    s,
+		log:   appendLog{kind: journalLog, path: s.jobPath(id, journalExt)},
+		steps: appendLog{kind: stepLog, path: s.jobPath(id, stepsExt)},
+	}
 	err := s.withRetry("journal_open", true, func() error {
 		if err := s.injector().Fire(faults.OpJournalOpen); err != nil {
 			return err
 		}
-		var oerr error
-		f, oerr = os.OpenFile(s.jobPath(id, journalExt), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		return oerr
+		return j.log.open()
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", id, err)
 	}
-	j := &Journal{id: id, st: s, f: f}
 	s.journals[id] = j
 	return j, nil
 }
@@ -237,60 +245,142 @@ func validID(id string) error {
 	return nil
 }
 
+// logKind is what tells a job's two append-only files apart: the retry
+// label, fault points and latency histograms their appends report under.
+type logKind struct {
+	retry   string
+	writeOp faults.Op
+	// syncOp is the fault point of the fsync; empty when writeOp covers the
+	// whole append.
+	syncOp faults.Op
+	// writeHist and syncHist time one write and one fsync; nil leaves the
+	// timing to the caller.
+	writeHist, syncHist *telemetry.Histogram
+}
+
+var (
+	journalLog = logKind{
+		retry: "journal_append", writeOp: faults.OpJournalAppend, syncOp: faults.OpJournalSync,
+		writeHist: mJournalAppend, syncHist: mFsync,
+	}
+	// A step-log append is a checkpoint write: it keeps the checkpoint's
+	// retry label and fault point, and Journal.Checkpoint times it whole.
+	stepLog = logKind{retry: "checkpoint_write", writeOp: faults.OpCheckpointWrite}
+)
+
+// appendLog is one append-only file of JSON lines. Appends are serialized,
+// and a line a failed write may have left partial (a torn tail) is healed by
+// the next append, which poisons the fragment with a newline first: the
+// retried record then starts on a fresh line and replay skips only the
+// fragment.
+type appendLog struct {
+	kind logKind
+	path string
+
+	mu     sync.Mutex
+	f      *os.File
+	torn   bool
+	closed bool
+}
+
+// open opens the file for appending, creating it if needed. A file that
+// ends mid-line (a crash tore its last append) is marked torn, so the first
+// append heals it instead of gluing a record onto the fragment. Callers hold
+// a.mu or own a not yet shared appendLog.
+func (a *appendLog) open() error {
+	f, err := os.OpenFile(a.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil || last[0] != '\n' {
+			a.torn = true
+		}
+	}
+	a.f = f
+	return nil
+}
+
+// append lands one newline-terminated line under the store's retry loop,
+// fsyncing it when sync is set.
+func (a *appendLog) append(s *Store, line []byte, sync bool) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return fmt.Errorf("store: %s closed", filepath.Base(a.path))
+	}
+	return s.withRetry(a.kind.retry, true, func() error {
+		return a.writeOnce(s.injector(), line, sync)
+	})
+}
+
+// writeOnce is one attempt to land a line (plus its fsync when sync is set).
+// Called with a.mu held, via the store's retry loop.
+func (a *appendLog) writeOnce(inj *faults.Injector, line []byte, sync bool) error {
+	start := time.Now()
+	if a.f == nil {
+		if err := a.open(); err != nil {
+			return err
+		}
+	}
+	if a.torn {
+		if _, err := a.f.Write([]byte("\n")); err != nil {
+			return err
+		}
+		a.torn = false
+	}
+	if err := inj.Fire(a.kind.writeOp); err != nil {
+		if faults.IsTorn(err) {
+			// Simulate the short write the fault stands for: half the record
+			// lands, no newline. The retry path must heal this.
+			a.f.Write(line[:len(line)/2])
+			a.torn = true
+		}
+		return err
+	}
+	n, err := a.f.Write(line)
+	if err != nil {
+		if n > 0 && n < len(line) {
+			a.torn = true
+		}
+		return err
+	}
+	a.kind.writeHist.Observe(time.Since(start).Seconds())
+	if !sync {
+		return nil
+	}
+	if a.kind.syncOp != "" {
+		if err := inj.Fire(a.kind.syncOp); err != nil {
+			return err
+		}
+	}
+	fsyncStart := time.Now()
+	err = a.f.Sync()
+	a.kind.syncHist.Observe(time.Since(fsyncStart).Seconds())
+	return err
+}
+
+// close closes the file; later appends fail.
+func (a *appendLog) close() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.closed = true
+	if a.f == nil {
+		return nil
+	}
+	err := a.f.Close()
+	a.f = nil
+	return err
+}
+
 func (j *Journal) append(e entry, sync bool) error {
 	e.Time = time.Now().UTC()
 	line, err := json.Marshal(&e)
 	if err != nil {
 		return fmt.Errorf("store: journal %s: %w", j.id, err)
 	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("store: journal %s closed", j.id)
-	}
-	return j.st.withRetry("journal_append", true, func() error {
-		return j.writeOnce(line, sync)
-	})
-}
-
-// writeOnce is one attempt to land a journal line (plus its fsync when
-// terminal). Called with j.mu held, via the store's retry loop.
-func (j *Journal) writeOnce(line []byte, sync bool) error {
-	start := time.Now()
-	if j.torn {
-		if _, err := j.f.Write([]byte("\n")); err != nil {
-			return err
-		}
-		j.torn = false
-	}
-	if err := j.st.injector().Fire(faults.OpJournalAppend); err != nil {
-		if faults.IsTorn(err) {
-			// Simulate the short write the fault stands for: half the record
-			// lands, no newline. The retry path must heal this.
-			j.f.Write(line[:len(line)/2])
-			j.torn = true
-		}
-		return err
-	}
-	n, err := j.f.Write(line)
-	if err != nil {
-		if n > 0 && n < len(line) {
-			j.torn = true
-		}
-		return err
-	}
-	mJournalAppend.Observe(time.Since(start).Seconds())
-	if sync {
-		if err := j.st.injector().Fire(faults.OpJournalSync); err != nil {
-			return err
-		}
-		fsyncStart := time.Now()
-		err := j.f.Sync()
-		mFsync.Observe(time.Since(fsyncStart).Seconds())
-		return err
-	}
-	return nil
+	return j.log.append(j.st, append(line, '\n'), sync)
 }
 
 // Request journals the job's (re-materializable) submission.
@@ -321,17 +411,17 @@ func (j *Journal) Result(r *ResultRecord, hits, misses uint64) error {
 	return j.append(entry{Type: "result", Result: r, CacheHits: hits, CacheMisses: misses}, true)
 }
 
-// Close flushes and closes the journal file and detaches it from the store.
+// Close closes the journal and its step log, detaching them from the store.
+// The files stay on disk.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
+	err := j.log.close()
+	if serr := j.steps.close(); err == nil {
+		err = serr
 	}
-	err := j.f.Close()
-	j.f = nil
 	j.st.mu.Lock()
-	delete(j.st.journals, j.id)
+	if j.st.journals[j.id] == j {
+		delete(j.st.journals, j.id)
+	}
 	j.st.mu.Unlock()
 	return err
 }
@@ -364,7 +454,10 @@ func WriteFileAtomic(path string, sync bool, write func(io.Writer) error) error 
 	return os.Rename(tmp.Name(), path)
 }
 
-// WriteCheckpoint atomically replaces the job's exploration snapshot.
+// WriteCheckpoint atomically replaces the job's exploration snapshot: a
+// whole core.ExplorerState that replay folds the job's step log onto. The
+// engine makes its steps durable through Journal.Checkpoint instead; a
+// snapshot suits a caller that keeps one whole file per job.
 func (s *Store) WriteCheckpoint(id string, st *core.ExplorerState) error {
 	if err := validID(id); err != nil {
 		return err
@@ -387,8 +480,8 @@ func (s *Store) WriteCheckpoint(id string, st *core.ExplorerState) error {
 	return nil
 }
 
-// ReadCheckpoint loads the job's latest exploration snapshot; (nil, nil)
-// when none was ever written.
+// ReadCheckpoint loads the job's exploration snapshot alone, without the
+// step log folded onto it; (nil, nil) when none was ever written.
 func (s *Store) ReadCheckpoint(id string) (*core.ExplorerState, error) {
 	if err := validID(id); err != nil {
 		return nil, err
@@ -413,9 +506,12 @@ type JobRecord struct {
 	Finished time.Time
 	Error    string
 
-	Request    *RequestRecord
-	Trace      []core.TracePoint
-	Spans      []telemetry.SpanRecord
+	Request *RequestRecord
+	Trace   []core.TracePoint
+	Spans   []telemetry.SpanRecord
+	// Checkpoint is the latest durable exploration state (the snapshot with
+	// the step log folded onto it); nil for finished jobs and for jobs with
+	// no durable step.
 	Checkpoint *core.ExplorerState
 	Result     *ResultRecord
 
@@ -432,9 +528,9 @@ func (r *JobRecord) Terminal() bool {
 
 // Replay folds every job journal in the store into records, sorted by
 // creation time (journal order within a job is authoritative). Damaged
-// journal lines and unreadable checkpoints are skipped with a warning —
-// replay reconstructs as much as the disk still holds, it never refuses the
-// whole store because one job's tail was torn by a crash.
+// journal and step-log lines and unreadable checkpoints are skipped with a
+// warning — replay reconstructs as much as the disk still holds, it never
+// refuses the whole store because one job's tail was torn by a crash.
 func (s *Store) Replay() ([]*JobRecord, error) {
 	start := time.Now()
 	defer func() { mReplay.Observe(time.Since(start).Seconds()) }()
@@ -472,8 +568,8 @@ func (s *Store) Replay() ([]*JobRecord, error) {
 	return recs, nil
 }
 
-// replayJob folds one job's journal (and checkpoint, for unfinished jobs)
-// into a record.
+// replayJob folds one job's journal (and exploration state, for unfinished
+// and timed-out jobs) into a record.
 func (s *Store) replayJob(id string) (*JobRecord, error) {
 	f, err := os.Open(s.jobPath(id, journalExt))
 	if err != nil {
@@ -553,22 +649,17 @@ func (s *Store) replayJob(id string) (*JobRecord, error) {
 	// Unfinished jobs need their checkpoint to resume; timed-out jobs keep
 	// theirs as the durable record of the best-so-far frontier.
 	if !rec.Terminal() || rec.State == "timeout" {
-		cp, err := s.ReadCheckpoint(id)
-		if err != nil {
-			s.log.Warn("store: unreadable checkpoint, resuming from step 0", "job", id, "err", err)
-		} else {
-			rec.Checkpoint = cp
-		}
+		rec.Checkpoint = s.loadCheckpoint(id)
 	}
 	return rec, nil
 }
 
-// Remove deletes every record of a job — its journal (closing any open
-// handle) and its checkpoint. Used when a submission is rejected after its
-// request was journaled, and when the engine evicts a terminal job past its
-// retention bound (the store mirrors the in-memory retention, or evicted
-// jobs would resurrect on the next restart and journals would accumulate
-// forever).
+// Remove deletes every record of a job — its journal and step log (closing
+// any open handles) and its snapshot. Used when a submission is rejected
+// after its request was journaled, and when the engine evicts a terminal job
+// past its retention bound (the store mirrors the in-memory retention, or
+// evicted jobs would resurrect on the next restart and journals would
+// accumulate forever).
 func (s *Store) Remove(id string) error {
 	if err := validID(id); err != nil {
 		return err
@@ -591,21 +682,25 @@ func (s *Store) Remove(id string) error {
 	return err
 }
 
-// RemoveCheckpoint deletes a job's snapshot (done once the job reaches a
-// terminal state: the journal's result record supersedes it).
+// RemoveCheckpoint deletes a job's exploration state: its step log and its
+// snapshot (done once the job reaches a terminal state: the journal's result
+// record supersedes them).
 func (s *Store) RemoveCheckpoint(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	err := os.Remove(s.jobPath(id, checkpointExt))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+	var first error
+	for _, ext := range []string{stepsExt, checkpointExt} {
+		err := os.Remove(s.jobPath(id, ext))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {
+			first = err
+		}
 	}
-	return err
+	return first
 }
 
 // Close stops the breaker's background probing and closes every open
-// journal.
+// journal and step log.
 func (s *Store) Close() error {
 	s.brk.stop()
 	s.mu.Lock()
