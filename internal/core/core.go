@@ -75,13 +75,14 @@ type Config struct {
 	// Parallelism bounds worker goroutines (0 = GOMAXPROCS).
 	Parallelism int
 	// Workers bounds the explorer's per-step candidate-sweep worker pool
-	// (0 = Parallelism, whose default is GOMAXPROCS). Candidates are
-	// sharded across workers by candidate position and reduced under a
-	// fixed total order on (error, area, block index), so any worker count
-	// produces bit-identical results; extra workers draw goroutine tokens
-	// from the machine-wide budget shared with the BMF tau sweep
-	// (internal/sched) and fall back to inline execution when the machine
-	// is saturated.
+	// (0 = Parallelism, whose default is GOMAXPROCS). Each worker claims
+	// the step's next unevaluated candidate until none is left; results
+	// land in per-candidate slots and are reduced under a fixed total order
+	// on (error, area, block index), so any worker count and any claim
+	// order produce bit-identical results. Extra workers draw goroutine
+	// tokens from the machine-wide budget shared with the BMF tau sweep
+	// (internal/sched); when none is free the calling goroutine evaluates
+	// the whole sweep.
 	Workers int
 	// SynthExact uses exact two-level minimization for block synthesis.
 	SynthExact bool
@@ -254,6 +255,13 @@ func Approximate(c *logic.Circuit, spec qor.OutputSpec, cfg Config) (*Result, er
 // latency is therefore bounded by one block factorization or one Monte-Carlo
 // comparison, not by the whole run.
 func ApproximateCtx(ctx context.Context, c *logic.Circuit, spec qor.OutputSpec, cfg Config) (*Result, error) {
+	return approximate(ctx, c, spec, cfg, newCandidateEvaluator)
+}
+
+// approximate is ApproximateCtx with the candidate-evaluator constructor as
+// a parameter, so tests can wrap the evaluator the flow picks.
+func approximate(ctx context.Context, c *logic.Circuit, spec qor.OutputSpec, cfg Config,
+	newEval func(*Result, []partition.Block, Config) (candidateEvaluator, error)) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -282,7 +290,7 @@ func ApproximateCtx(ctx context.Context, c *logic.Circuit, spec qor.OutputSpec, 
 		res.AccurateModelArea += p.AccurateArea
 	}
 
-	ce, err := newCandidateEvaluator(res, blocks, cfg)
+	ce, err := newEval(res, blocks, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,26 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/blasys-go/blasys/internal/bench"
+	"github.com/blasys-go/blasys/internal/blif"
+	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
 )
 
 // TestParallelSweepDeterminism explores three example circuits with
-// Workers = 1, 2, 8 and requires the committed trajectory and the full
-// evaluated frontier to be identical to the serial sweep, bit for bit —
-// sharding and the deterministic (error, area, block index) reduction must
-// make the worker count purely a scheduling choice.
+// Workers = 1, 2, 8 and requires the committed trajectory, the full
+// evaluated frontier and the result netlist to be identical to the serial
+// sweep, bit for bit — claiming and the deterministic (error, area, block
+// index) reduction must make the worker count purely a scheduling choice.
+// Each case also runs with 2 and 8 jittered workers, whose shards delay
+// every evaluation by a seeded random few microseconds, so workers claim and
+// finish candidates out of order.
 func TestParallelSweepDeterminism(t *testing.T) {
 	mult8 := bench.Mult8()
 	adder32 := bench.Adder32()
@@ -43,10 +52,19 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			var ref *Result
-			for _, workers := range []int{1, 2, 8} {
+			runs := []struct {
+				workers int
+				jitter  bool
+			}{{1, false}, {2, false}, {8, false}, {2, true}, {8, true}}
+			for _, run := range runs {
+				workers := run.workers
 				cfg := tc.cfg
 				cfg.Workers = workers
-				res, err := Approximate(tc.circ.Circ, tc.circ.Spec, cfg)
+				newEval := newCandidateEvaluator
+				if run.jitter {
+					newEval = jitteredEvaluator(int64(workers))
+				}
+				res, err := approximate(context.Background(), tc.circ.Circ, tc.circ.Spec, cfg, newEval)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -109,4 +127,58 @@ func assertSameExploration(t *testing.T, workers int, ref, got *Result) {
 			t.Fatalf("workers=%d front entry %d diverged", workers, i)
 		}
 	}
+	if a, b := resultBLIF(t, ref), resultBLIF(t, got); !bytes.Equal(a, b) {
+		t.Fatalf("workers=%d: result BLIF differs from the serial run's", workers)
+	}
+}
+
+// resultBLIF writes a run's best circuit as BLIF.
+func resultBLIF(t *testing.T, res *Result) []byte {
+	t.Helper()
+	best, err := res.BestCircuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := blif.Write(&buf, best); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// jitteredEvaluator wraps the flow's candidate evaluator so that each
+// shard sleeps a seeded random 1-20 µs before every evaluation.
+func jitteredEvaluator(seed int64) func(*Result, []partition.Block, Config) (candidateEvaluator, error) {
+	return func(res *Result, blocks []partition.Block, cfg Config) (candidateEvaluator, error) {
+		ce, err := newCandidateEvaluator(res, blocks, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &jitterEval{candidateEvaluator: ce, seed: seed}, nil
+	}
+}
+
+type jitterEval struct {
+	candidateEvaluator
+	seed int64
+}
+
+func (j *jitterEval) shards(n int) []candidateShard {
+	inner := j.candidateEvaluator.shards(n)
+	out := make([]candidateShard, n)
+	for i, sh := range inner {
+		out[i] = &jitterShard{candidateShard: sh, rng: rand.New(rand.NewSource(j.seed*1000 + int64(i)))}
+	}
+	return out
+}
+
+// jitterShard owns its generator: a shard serves one worker at a time.
+type jitterShard struct {
+	candidateShard
+	rng *rand.Rand
+}
+
+func (s *jitterShard) evaluate(degrees []int, bi, degree int) (qor.Report, error) {
+	time.Sleep(time.Duration(1+s.rng.Intn(20)) * time.Microsecond)
+	return s.candidateShard.evaluate(degrees, bi, degree)
 }

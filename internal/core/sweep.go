@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/blasys-go/blasys/internal/qor"
@@ -29,13 +30,15 @@ type sweepResult struct {
 
 // runSweep evaluates one candidate per entry of bis — block bis[i] at its
 // next-lower degree, degrees[bis[i]]-1, as Algorithm 1 tries it — across the
-// given shards, and returns the results in bis order. Sharding is by
-// candidate position — shard s takes candidates s, s+W, s+2W, … — and each
+// given shards, and returns the results in bis order. Each worker claims the
+// next unevaluated candidate from a shared counter, so a worker that drew
+// cheap cones keeps claiming while another finishes an expensive one; each
 // result lands in its own slot, so the output is identical for every worker
-// count; only the schedule changes. Extra workers run on goroutine tokens
-// from the machine-wide sched budget (shared with the BMF tau sweep); shards
-// that win no token run inline on the caller, so the sweep never blocks on
-// the budget and never oversubscribes the CPU.
+// count and every claim order — only the schedule changes. Extra workers run
+// on goroutine tokens from the machine-wide sched budget (shared with the BMF
+// tau sweep); the caller is always a worker, so when no token is free the
+// sweep runs serially on it, never blocking on the budget or oversubscribing
+// the CPU.
 func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis []int) []sweepResult {
 	sweepStart := time.Now()
 	defer func() {
@@ -47,9 +50,11 @@ func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis [
 	if w > len(bis) {
 		w = len(bis)
 	}
-	runShard := func(s int, sh candidateShard) {
-		for i := s; i < len(bis); i += w {
-			if ctx.Err() != nil {
+	var next atomic.Int64
+	runShard := func(sh candidateShard) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(bis) || ctx.Err() != nil {
 				return
 			}
 			bi := bis[i]
@@ -59,30 +64,19 @@ func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis [
 			results[i] = sweepResult{bi: bi, report: rep, err: err}
 		}
 	}
-	if w <= 1 {
-		if w == 1 {
-			runShard(0, shards[0])
-		}
+	if w == 0 {
 		return results
 	}
 	var wg sync.WaitGroup
-	var inline []int
-	for s := 1; s < w; s++ {
-		if sched.TryAcquire() {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				defer sched.Release()
-				runShard(s, shards[s])
-			}(s)
-		} else {
-			inline = append(inline, s)
-		}
+	for s := 1; s < w && sched.TryAcquire(); s++ {
+		wg.Add(1)
+		go func(sh candidateShard) {
+			defer wg.Done()
+			defer sched.Release()
+			runShard(sh)
+		}(shards[s])
 	}
-	runShard(0, shards[0])
-	for _, s := range inline {
-		runShard(s, shards[s])
-	}
+	runShard(shards[0])
 	wg.Wait()
 	return results
 }

@@ -801,7 +801,6 @@ func (e *Engine) run(job *Job) {
 		return // cancelled while queued
 	}
 	e.running.Add(1)
-	defer e.running.Add(-1)
 	job.queueSpan.End()
 	e.met.queueWait.Observe(job.queueWait().Seconds())
 	e.persistState(job, StateRunning, "")
@@ -840,6 +839,11 @@ func (e *Engine) run(job *Job) {
 
 	runStart := time.Now()
 	res, err := core.ApproximateCtx(runCtx, job.req.Circuit, job.req.Spec, cfg)
+	// The worker is free from here on. Stop counting it before any
+	// job.finish releases Job.Wait: a client that waits for this job and at
+	// once submits another must not be shed by EstimateQueueWait on account
+	// of a worker that is about to be idle.
+	e.running.Add(-1)
 	e.met.runSeconds.Observe(time.Since(runStart).Seconds())
 	// Close the spans before the terminal bookkeeping: ending them journals
 	// their records (the journal is still open here) and streams the stage

@@ -117,6 +117,14 @@ func noiseWord(rng *rand.Rand, level int) uint64 {
 // reference-decode cache against oracleBatchStats, field by field, on seeded
 // random output and reference words. One batchStats is reused across every
 // batch of every case, as reportAccum reuses its scratch.
+//
+// It then checks the committed-relative decode (committedLanes.score) the
+// same way: every batch advances a committed state through seeded random
+// commits in update mode, and then scores candidates equal to the committed
+// state, equal to the reference, reverting some lanes to the reference, and
+// random around the committed state. Every partial — the committed one after
+// each commit, and each candidate's — must equal the oracle's decode of
+// those outputs against the reference.
 func TestFlipDecodeMatchesOracle(t *testing.T) {
 	// span lists output indices [lo, lo+n).
 	span := func(lo, n int) []int {
@@ -166,6 +174,7 @@ func TestFlipDecodeMatchesOracle(t *testing.T) {
 			}
 		}
 		rc := buildRefLanes(&spec, refOut)
+		rc.addFloats(&spec)
 		out := make([]uint64, tc.nOut)
 		for b := range refOut {
 			// Every batch draws one density for all outputs half the time,
@@ -189,6 +198,88 @@ func TestFlipDecodeMatchesOracle(t *testing.T) {
 			oracleBatchStats(&spec, out, refOut[b], mask, &want)
 			if err := sameBatchStats(&got, &want); err != nil {
 				t.Fatalf("%s batch %d mask %#x: %v", tc.name, b, mask, err)
+			}
+		}
+		checkCommittedDecode(t, rng, tc.name, &spec, refOut)
+	}
+}
+
+// checkCommittedDecode runs the committed-relative half of
+// TestFlipDecodeMatchesOracle over one case's reference words.
+func checkCommittedDecode(t *testing.T, rng *rand.Rand, name string, spec *OutputSpec, refOut [][]uint64) {
+	t.Helper()
+	nOut := len(refOut[0])
+	cl := newCommittedLanes(spec, buildRefLanes(spec, refOut))
+	committed := make([]batchStats, len(refOut))
+	diff := make([]uint64, nOut)
+	var got, want batchStats
+	var tally laneTally
+	// score decodes cand against the committed words com; a false return
+	// means the partial is the committed one.
+	score := func(b int, cand, com []uint64, mask uint64, p *batchStats, update bool) *batchStats {
+		if cl.score(b, cand, com, refOut[b], mask, diff, p, update, &tally) {
+			return p
+		}
+		return &committed[b]
+	}
+	// noisy returns the words w with every output flipped at one random
+	// density, or at a density per output.
+	noisy := func(w []uint64) []uint64 {
+		c := make([]uint64, len(w))
+		level, perOutput := rng.Intn(7), rng.Intn(2) == 0
+		for o := range c {
+			if perOutput {
+				level = rng.Intn(7)
+			}
+			c[o] = w[o] ^ noiseWord(rng, level)
+		}
+		return c
+	}
+	// reverted returns w with a random set of lanes back at the reference.
+	reverted := func(b int, w []uint64) []uint64 {
+		back := noiseWord(rng, rng.Intn(7))
+		c := make([]uint64, len(w))
+		for o := range c {
+			c[o] = w[o]&^back | refOut[b][o]&back
+		}
+		return c
+	}
+	for b := range refOut {
+		committed[b].reset(len(spec.Groups))
+		mask := ^uint64(0)
+		switch rng.Intn(4) {
+		case 0:
+			mask = uint64(1)<<uint(1+rng.Intn(63)) - 1
+		case 1:
+			mask = 1
+		}
+		com := append([]uint64(nil), refOut[b]...)
+		for c, n := 0, rng.Intn(4); c < n; c++ {
+			next := noisy(com)
+			if rng.Intn(3) == 0 {
+				next = reverted(b, next)
+			}
+			score(b, next, com, mask, &committed[b], true)
+			com = next
+			oracleBatchStats(spec, com, refOut[b], mask, &want)
+			if err := sameBatchStats(&committed[b], &want); err != nil {
+				t.Fatalf("%s batch %d mask %#x commit %d: %v", name, b, mask, c, err)
+			}
+		}
+		kinds := []struct {
+			name string
+			cand []uint64
+		}{
+			{"committed", com},
+			{"reference", refOut[b]},
+			{"reverting", reverted(b, com)},
+			{"random", noisy(com)},
+		}
+		for _, k := range kinds {
+			p := score(b, k.cand, com, mask, &got, false)
+			oracleBatchStats(spec, k.cand, refOut[b], mask, &want)
+			if err := sameBatchStats(p, &want); err != nil {
+				t.Fatalf("%s batch %d mask %#x %s candidate: %v", name, b, mask, k.name, err)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package qor
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -25,7 +26,10 @@ import (
 // cache, and — when they match, which is the common case for low-error
 // variants — skips the cone and the whole metric loop by folding the batch's
 // cached metric partial. Only batches whose block outputs genuinely change
-// simulate the cone and re-score outputs.
+// simulate the cone and re-score outputs, and the scoring itself is relative
+// to the committed circuit: it decodes again only the sample lanes where the
+// candidate's outputs differ from the committed outputs, and reuses the
+// committed circuit's cached lane errors everywhere else (committedLanes).
 //
 // The committed state starts at the accurate circuit (every block accurate)
 // and advances via Commit as the exploration decrements block degrees. A
@@ -33,8 +37,14 @@ import (
 // is bit-identical to rebuilding the whole substituted circuit with
 // logic.ReplaceBlocks and comparing it through Evaluator.Compare, because
 // both paths compute the same Boolean function on the same input stream
-// (skipping recomputation only of values proven equal) and share the metric
-// accumulation code (reportAccum).
+// (skipping recomputation only of values proven equal), score every lane with
+// the same expression (laneError), and fold per-batch partials in batch order
+// through the same accumulator (reportAccum).
+//
+// Memory: one word per reference node per 64-sample batch (the node-word
+// cache), plus 32 bytes per sample per output group — the reference
+// integer and the committed lane's value, absolute and relative error — and
+// one mask word per group per batch.
 //
 // CompareCandidate is safe for concurrent use; Commit must not run
 // concurrently with CompareCandidate or with another Commit.
@@ -50,23 +60,165 @@ type IncrementalComparer struct {
 	// values; by the definition of block outputs nothing outside the block
 	// reads them.
 	base [][]uint64
-	// committedRep is the committed circuit's report, returned without any
-	// simulation when a candidate's dirty cone reaches no primary output.
+	// committedRep is the committed circuit's report — the fold of stats —
+	// returned without any simulation when a candidate's dirty cone reaches
+	// no primary output.
 	committedRep Report
 	// stats[b] is batch b's metric contribution for the committed circuit.
 	// Candidate batches whose outputs match the committed state fold this
 	// cached partial instead of re-decoding the batch.
 	stats []batchStats
+	// lanes is the committed circuit's per-lane decode that candidates are
+	// scored against.
+	lanes committedLanes
 
 	scratchPool sync.Pool
 }
 
+// committedLanes is the committed circuit's per-lane decode. For every
+// (batch, group, sample lane) it keeps the committed group integer and its
+// absolute and relative error against the reference; for every (batch,
+// group), the mask of valid lanes where the committed value differs from the
+// reference. It starts at the reference — every value the reference's, every
+// error zero, every mask empty — and Commit advances it with score in update
+// mode. Candidates only read it, under the same contract as the node-word
+// cache: Commit never runs while they do.
+type committedLanes struct {
+	spec *OutputSpec
+	ref  *refLanes // reference integers; no floats
+	// val, abs and rel are indexed (batch*nGroups+gi)*64+lane.
+	val      []uint64
+	abs, rel []float64
+	// wrong is indexed batch*nGroups+gi.
+	wrong []uint64
+}
+
+func newCommittedLanes(spec *OutputSpec, ref *refLanes) committedLanes {
+	n := len(ref.vals) * len(spec.Groups) * 64
+	cl := committedLanes{
+		spec:  spec,
+		ref:   ref,
+		val:   make([]uint64, 0, n),
+		abs:   make([]float64, n),
+		rel:   make([]float64, n),
+		wrong: make([]uint64, len(ref.vals)*len(spec.Groups)),
+	}
+	for _, v := range ref.vals {
+		cl.val = append(cl.val, v...)
+	}
+	return cl
+}
+
+// laneTally counts, over one evaluation, the lanes the decode scored again
+// (the candidate changed them) and the committed circuit's erroneous lanes
+// whose cached errors it reused.
+type laneTally struct{ rescored, reused int }
+
+// score decodes batch b of a candidate with outputs out against the
+// committed outputs com and the reference outputs refOut, over the valid
+// lanes in mask; diff is scratch of len(out) words. When out equals com on
+// every valid lane it returns false and leaves p alone: the batch's
+// statistics are the committed partial. Otherwise it fills p and returns
+// true.
+//
+// Only the lanes where a group's value differs from the committed value (D)
+// are decoded again. Per group, the lanes where the committed value is
+// wrong are walked together with D in ascending lane order — the order in
+// which the reference decode (computeBatchStats) walks the lanes where the
+// candidate differs from the reference — so every sum has its bits: a lane
+// outside D takes the errors laneError computed from the same value when it
+// was committed, and a lane of D back at the reference adds +0, which leaves
+// a sum of non-negative terms starting at +0 unchanged. Hamming and
+// error-sample counts are integers and the worst cases maxima, so the walk
+// order does not touch them.
+//
+// In update mode the candidate becomes batch b's committed state: its lane
+// values, errors and masks are written to the cache (Commit).
+func (cl *committedLanes) score(b int, out, com, refOut []uint64, mask uint64, diff []uint64, p *batchStats, update bool, t *laneTally) bool {
+	var changedAny, errLanes uint64
+	var hamming int
+	for o := range out {
+		d := (out[o] ^ com[o]) & mask
+		diff[o] = d
+		changedAny |= d
+		e := (out[o] ^ refOut[o]) & mask
+		hamming += bits.OnesCount64(e)
+		errLanes |= e
+	}
+	if changedAny == 0 {
+		return false
+	}
+	nGroups := len(cl.spec.Groups)
+	p.reset(nGroups)
+	p.hamming = int64(hamming)
+	p.errSamples = int64(bits.OnesCount64(errLanes))
+	n := nGroups * 64
+	off := b * n
+	refVals := cl.ref.vals[b][:n]
+	vals, absErr, relErr := cl.val[off:off+n], cl.abs[off:off+n], cl.rel[off:off+n]
+	wrong := cl.wrong[b*nGroups : (b+1)*nGroups]
+	var worstRel, worstAbs float64
+	// flips[lane] collects the group bits that differ from the committed
+	// value in that lane; each changed lane consumes and zeroes its entry.
+	var flips [64]uint64
+	for gi := range cl.spec.Groups {
+		g := &cl.spec.Groups[gi]
+		var changed uint64
+		for j, bit := range g.Bits {
+			d := diff[bit]
+			changed |= d
+			for ; d != 0; d &= d - 1 {
+				flips[bits.TrailingZeros64(d)] |= 1 << uint(j)
+			}
+		}
+		was := wrong[gi]
+		t.rescored += bits.OnesCount64(changed)
+		t.reused += bits.OnesCount64(was &^ changed)
+		var sumAbs, sumSq, sumRel float64
+		for lanes := was | changed; lanes != 0; lanes &= lanes - 1 {
+			lane := bits.TrailingZeros64(lanes)
+			idx := gi*64 + lane
+			var abs, rel float64
+			if changed&(1<<uint(lane)) != 0 {
+				v := vals[idx] ^ flips[lane]
+				flips[lane] = 0
+				ref, den := refDecode(g, refVals[idx])
+				abs, rel = laneError(g, v, ref, den)
+				if update {
+					vals[idx], absErr[idx], relErr[idx] = v, abs, rel
+					if v != refVals[idx] {
+						wrong[gi] |= 1 << uint(lane)
+					} else {
+						wrong[gi] &^= 1 << uint(lane)
+					}
+				}
+			} else {
+				abs, rel = absErr[idx], relErr[idx]
+			}
+			sumAbs += abs
+			sumSq += abs * abs
+			sumRel += rel
+			if rel > worstRel {
+				worstRel = rel
+			}
+			if abs > worstAbs {
+				worstAbs = abs
+			}
+		}
+		p.sumAbs[gi] = sumAbs
+		p.sumSq[gi] = sumSq
+		p.sumRel[gi] = sumRel
+	}
+	p.worstRel, p.worstAbs = worstRel, worstAbs
+	return true
+}
+
 // NewIncrementalComparer prepares the incremental evaluation engine for the
 // reference circuit decomposed into the given blocks. Sampling (exhaustive
-// vs Monte-Carlo, batch count, masks) follows NewEvaluator exactly. Memory
-// cost is one word per node per 64-sample batch.
+// vs Monte-Carlo, batch count, masks) follows NewEvaluator exactly; see
+// IncrementalComparer for the memory cost.
 func NewIncrementalComparer(ref *logic.Circuit, spec OutputSpec, blocks []partition.Block, samples int, seed int64) (*IncrementalComparer, error) {
-	eval, err := NewEvaluator(ref, spec, samples, seed)
+	eval, err := newEvaluator(ref, spec, samples, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -88,16 +240,19 @@ func NewIncrementalComparer(ref *logic.Circuit, spec OutputSpec, blocks []partit
 		blocks: blocks,
 		impls:  make([]*logic.Circuit, len(blocks)),
 		stats:  make([]batchStats, eval.nBatches),
+		lanes:  newCommittedLanes(&eval.spec, eval.refLanes),
 	}
-	// Cache the accurate circuit's full node-word state per batch.
+	// Cache the accurate circuit's full node-word state per batch. It
+	// matches the reference everywhere, so every partial starts at zero.
 	sim := logic.NewSimulator(ref)
 	out := make([]uint64, len(ref.Outputs))
 	ic.base = make([][]uint64, eval.nBatches)
 	for b := 0; b < eval.nBatches; b++ {
 		sim.Run(eval.inWords[b], out)
 		ic.base[b] = append([]uint64(nil), sim.NodeWords()...)
+		ic.stats[b].reset(len(spec.Groups))
 	}
-	ic.committedRep = ic.reportFromBase()
+	ic.committedRep = ic.foldCommitted()
 	return ic, nil
 }
 
@@ -174,8 +329,10 @@ type icScratch struct {
 	inOpsBuf   []int32
 	rInBuf     []int32
 
-	out []uint64
-	acc reportAccum
+	// out, com and diff hold one batch's candidate outputs, committed
+	// outputs and their per-output difference words.
+	out, com, diff []uint64
+	acc            reportAccum
 }
 
 // grow32 returns buf resized to n, reallocating only on growth.
@@ -195,8 +352,10 @@ func (ic *IncrementalComparer) prepScratch(sc *icScratch) {
 		sc.dirty = make([]bool, n)
 		sc.inFrontier = make([]bool, n)
 	}
-	if len(sc.out) < len(ic.eval.ref.Outputs) {
-		sc.out = make([]uint64, len(ic.eval.ref.Outputs))
+	if nOut := len(ic.eval.ref.Outputs); len(sc.out) < nOut {
+		sc.out = make([]uint64, nOut)
+		sc.com = make([]uint64, nOut)
+		sc.diff = make([]uint64, nOut)
 	}
 	sc.dirtyList = sc.dirtyList[:0]
 	sc.implOps = sc.implOps[:0]
@@ -573,38 +732,60 @@ func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Ci
 	}
 
 	sc.acc.reset(&e.spec)
-	out := sc.out[:len(e.ref.Outputs)]
+	var tally laneTally
 	cleanBatches := 0
 	for b := 0; b < e.nBatches; b++ {
-		base := ic.base[b]
-		if sc.runBatch(base) {
+		if sc.runBatch(ic.base[b]) {
 			// Block outputs match the committed state: the batch's metrics
 			// are exactly the cached committed partial.
 			sc.acc.fold(&ic.stats[b])
 			cleanBatches++
 			continue
 		}
-		mask := ^uint64(0)
-		if b == e.nBatches-1 {
-			mask = e.lastMask
+		if ic.scoreBatch(sc, b, &sc.acc.scratch, false, &tally) {
+			sc.acc.fold(&sc.acc.scratch)
+		} else {
+			// The wave died in the cone: the outputs are the committed ones.
+			sc.acc.fold(&ic.stats[b])
 		}
-		w := sc.slots
-		for i, src := range sc.outSrc {
-			out[i] = w[src]
-		}
-		sc.acc.addBatchRef(out, e.refOut[b], mask, e.refLanes, b)
 	}
 	rep := sc.acc.report(e.samples, e.exhaustive)
 	mSimSeconds.Add(time.Since(compiled).Seconds())
 	mEvalBatchKind.With("clean").Add(float64(cleanBatches))
 	mEvalBatchKind.With("cone").Add(float64(e.nBatches - cleanBatches))
 	mEvalBatches.Observe(float64(e.nBatches))
+	mEvalLanes.With("rescored").Add(float64(tally.rescored))
+	mEvalLanes.With("reused").Add(float64(tally.reused))
 	return rep, nil
 }
 
+// scoreBatch scores batch b of the program compiled in sc, which runBatch
+// has just run, against the committed state (committedLanes.score). It must
+// run before Commit folds the batch's new node words into the cache, since
+// the committed outputs are read from there.
+func (ic *IncrementalComparer) scoreBatch(sc *icScratch, b int, p *batchStats, update bool, t *laneTally) bool {
+	e := ic.eval
+	out, com := sc.out[:len(e.ref.Outputs)], sc.com[:len(e.ref.Outputs)]
+	w, base := sc.slots, ic.base[b]
+	for i, src := range sc.outSrc {
+		out[i] = w[src]
+	}
+	for i, o := range e.ref.Outputs {
+		com[i] = base[o]
+	}
+	mask := ^uint64(0)
+	if b == e.nBatches-1 {
+		mask = e.lastMask
+	}
+	return ic.lanes.score(b, out, com, e.refOut[b], mask, sc.diff, p, update, t)
+}
+
 // Commit substitutes impl into block bi permanently: the committed node-word
-// cache is updated along the dirty cone, and subsequent candidates are
-// evaluated on top of the new state. Returns the committed circuit's report.
+// cache is updated along the dirty cone, every batch whose outputs change is
+// re-scored in update mode — advancing its partial and the committed-lane
+// cache — and subsequent candidates are evaluated on top of the new state.
+// Batches the substitution leaves unchanged keep their partials and lanes.
+// Returns the committed circuit's report.
 func (ic *IncrementalComparer) Commit(bi int, impl *logic.Circuit) (Report, error) {
 	if err := ic.checkCandidate(bi, impl); err != nil {
 		return Report{}, err
@@ -612,11 +793,13 @@ func (ic *IncrementalComparer) Commit(bi int, impl *logic.Circuit) (Report, erro
 	sc := ic.getScratch()
 	defer ic.putScratch(sc)
 	ic.compile(bi, impl, sc)
+	var tally laneTally
 	for b := 0; b < ic.eval.nBatches; b++ {
 		base := ic.base[b]
 		if sc.runBatch(base) {
 			continue // batch unaffected; cache already correct
 		}
+		ic.scoreBatch(sc, b, &ic.stats[b], true, &tally)
 		// Fold every recomputed node into the cache. dirtyList holds the
 		// statically-written reference nodes, all of which the program
 		// computed for this batch.
@@ -626,27 +809,17 @@ func (ic *IncrementalComparer) Commit(bi int, impl *logic.Circuit) (Report, erro
 		}
 	}
 	ic.impls[bi] = impl
-	ic.committedRep = ic.reportFromBase()
+	ic.committedRep = ic.foldCommitted()
 	return ic.committedRep, nil
 }
 
-// reportFromBase scores the committed cache's primary outputs against the
-// reference outputs, refreshing the per-batch partial cache along the way.
-func (ic *IncrementalComparer) reportFromBase() Report {
+// foldCommitted folds the committed per-batch partials, in batch order, into
+// the committed circuit's report.
+func (ic *IncrementalComparer) foldCommitted() Report {
 	e := ic.eval
 	var acc reportAccum
 	acc.reset(&e.spec)
-	out := make([]uint64, len(e.ref.Outputs))
-	for b := 0; b < e.nBatches; b++ {
-		base := ic.base[b]
-		for i, o := range e.ref.Outputs {
-			out[i] = base[o]
-		}
-		mask := ^uint64(0)
-		if b == e.nBatches-1 {
-			mask = e.lastMask
-		}
-		computeBatchStats(&e.spec, out, e.refOut[b], mask, &ic.stats[b], e.refLanes, b)
+	for b := range ic.stats {
 		acc.fold(&ic.stats[b])
 	}
 	return acc.report(e.samples, e.exhaustive)
@@ -656,7 +829,8 @@ func (ic *IncrementalComparer) reportFromBase() Report {
 // built for sharded parallel candidate sweeps: each worker of a sweep owns
 // one Shard outright, so candidate evaluations proceed with zero scratch-pool
 // contention and zero steady-state allocation, while all shards read the same
-// committed baseline cache (ic.base) and per-batch metric partials.
+// committed baseline cache (ic.base), per-batch metric partials and
+// committed-lane cache.
 //
 // Concurrency contract: CompareCandidate may run concurrently on distinct
 // Shards (and concurrently with the parent's CompareCandidate); a single

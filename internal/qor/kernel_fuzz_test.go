@@ -78,8 +78,9 @@ func groupedSpec(widths []int, signed []bool) qor.OutputSpec {
 // fuzzKernel decomposes circ and runs rounds of random candidates on random
 // blocks. Every candidate's CompareCandidate report must equal the
 // paper-literal rebuild's; about half the rounds commit one candidate, so
-// later rounds run on an approximated circuit. It returns the effective
-// sample count.
+// later rounds run on an approximated circuit, and the report each Commit
+// returns must equal the paper-literal report of the committed circuit. It
+// returns the effective sample count.
 func fuzzKernel(t *testing.T, rng *rand.Rand, circ *logic.Circuit, spec qor.OutputSpec, samples int, seed int64) int {
 	t.Helper()
 	prepared := logic.ReorderDFS(logic.Sweep(circ))
@@ -133,10 +134,14 @@ func fuzzKernel(t *testing.T, rng *rand.Rand, circ *logic.Circuit, spec qor.Outp
 		}
 		if rng.Intn(2) == 0 {
 			pick := impls[rng.Intn(len(impls))]
-			if _, err := ic.Commit(bi, pick); err != nil {
+			got, err := ic.Commit(bi, pick)
+			if err != nil {
 				t.Fatal(err)
 			}
 			committed[bi] = pick
+			if want := literal(bi, pick); got != want {
+				t.Fatalf("round %d block %d: commit report %+v != paper-literal %+v", round, bi, got, want)
+			}
 		}
 	}
 	return ic.Samples()

@@ -168,6 +168,18 @@ type Evaluator struct {
 // 2^inputs <= samples, evaluation is exhaustive and exact. Sample counts
 // above MaxSamples are rejected.
 func NewEvaluator(ref *logic.Circuit, spec OutputSpec, samples int, seed int64) (*Evaluator, error) {
+	e, err := newEvaluator(ref, spec, samples, seed)
+	if err != nil {
+		return nil, err
+	}
+	e.refLanes.addFloats(&e.spec)
+	return e, nil
+}
+
+// newEvaluator is NewEvaluator without the reference floats Compare reads.
+// The incremental comparer decodes against its committed-lane cache instead,
+// and its evaluator never runs Compare.
+func newEvaluator(ref *logic.Circuit, spec OutputSpec, samples int, seed int64) (*Evaluator, error) {
 	if samples > MaxSamples {
 		return nil, fmt.Errorf("qor: %d samples exceed the maximum %d", samples, MaxSamples)
 	}
@@ -232,37 +244,47 @@ func NewEvaluator(ref *logic.Circuit, spec OutputSpec, samples int, seed int64) 
 // construction removes half the decode work — and the cached integer lets
 // the candidate's value be reconstructed by flipping only the differing bits
 // instead of gathering the whole group.
+//
+// The floats cost 16 bytes per sample per group on top of the integer's 8.
+// Evaluators add them (addFloats), because they score every erroneous lane
+// of every candidate against the reference. The incremental comparer keeps
+// only the integers: it decodes again just the lanes a candidate changes,
+// and derives the floats for those (refDecode).
 type refLanes struct {
 	vals [][]uint64  // [batch][gi*64+lane] raw group integer
-	dec  [][]float64 // decoded float value
-	den  [][]float64 // max(|dec|, 1)
+	dec  [][]float64 // decoded float value; nil until addFloats
+	den  [][]float64 // max(|dec|, 1); nil until addFloats
 }
 
+// buildRefLanes decodes the group integers of every reference lane.
 func buildRefLanes(spec *OutputSpec, refOut [][]uint64) *refLanes {
 	nGroups := len(spec.Groups)
-	rc := &refLanes{
-		vals: make([][]uint64, len(refOut)),
-		dec:  make([][]float64, len(refOut)),
-		den:  make([][]float64, len(refOut)),
-	}
+	rc := &refLanes{vals: make([][]uint64, len(refOut))}
 	for b := range refOut {
 		vals := make([]uint64, nGroups*64)
-		dec := make([]float64, nGroups*64)
-		den := make([]float64, nGroups*64)
 		for gi := range spec.Groups {
 			g := &spec.Groups[gi]
 			for lane := uint(0); lane < 64; lane++ {
-				v := decodeInt(refOut[b], g, lane)
-				f := groupFloat(g, v)
-				idx := gi*64 + int(lane)
-				vals[idx] = v
-				dec[idx] = f
-				den[idx] = math.Max(math.Abs(f), 1)
+				vals[gi*64+int(lane)] = decodeInt(refOut[b], g, lane)
 			}
 		}
-		rc.vals[b], rc.dec[b], rc.den[b] = vals, dec, den
+		rc.vals[b] = vals
 	}
 	return rc
+}
+
+// addFloats decodes every cached reference integer into the float and
+// denominator the reference decode (computeBatchStats) reads.
+func (rc *refLanes) addFloats(spec *OutputSpec) {
+	rc.dec = make([][]float64, len(rc.vals))
+	rc.den = make([][]float64, len(rc.vals))
+	for b, vals := range rc.vals {
+		dec, den := make([]float64, len(vals)), make([]float64, len(vals))
+		for idx, v := range vals {
+			dec[idx], den[idx] = refDecode(&spec.Groups[idx/64], v)
+		}
+		rc.dec[b], rc.den[b] = dec, den
+	}
 }
 
 // Samples returns the effective sample count.
@@ -361,11 +383,13 @@ func (p *batchStats) reset(nGroups int) {
 	p.worstRel, p.worstAbs = 0, 0
 }
 
-// computeBatchStats fills p with the batch's statistics. mask selects the
-// valid sample lanes (all ones except possibly the final batch). rc must be
-// the reference-decode cache built over the same refOut stream, with batch
-// the batch index: the reference side of every mismatching lane is read from
-// it, and only the candidate side is reconstructed.
+// computeBatchStats fills p with the batch's statistics: the reference
+// decode, which scores every lane where out differs from the reference.
+// mask selects the valid sample lanes (all ones except possibly the final
+// batch). rc must be the reference-decode cache, with floats, built over the
+// same refOut stream, with batch the batch index: the reference side of
+// every mismatching lane is read from it, and only the candidate side is
+// reconstructed.
 func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *batchStats, rc *refLanes, batch int) {
 	p.reset(len(spec.Groups))
 	if cap(p.diff) < len(out) {
@@ -413,10 +437,8 @@ func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *b
 			idx := gi*64 + lane
 			// The candidate's group value is the reference with only the
 			// differing bits flipped.
-			av := groupFloat(g, vals[idx]^flips[lane])
+			abs, rel := laneError(g, vals[idx]^flips[lane], dec[idx], dens[idx])
 			flips[lane] = 0
-			abs := math.Abs(av - dec[idx])
-			rel := abs / dens[idx]
 			sumAbs += abs
 			sumSq += abs * abs
 			sumRel += rel
@@ -436,9 +458,9 @@ func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *b
 
 // reportAccum accumulates per-batch statistics into a Report. Both evaluator
 // kinds and the incremental comparer share it, so every evaluation path
-// computes metrics with identical code and identical floating-point
-// association — the foundation of the bit-identical guarantee between the
-// full-rebuild and incremental paths.
+// folds per-batch partials with identical code and identical floating-point
+// association — with every lane scored by laneError, the foundation of the
+// bit-identical guarantee between the full-rebuild and incremental paths.
 type reportAccum struct {
 	spec    *OutputSpec
 	totals  batchStats
@@ -499,6 +521,28 @@ func (a *reportAccum) report(samples int, exact bool) Report {
 	rep.MeanHam = float64(t.hamming) / n
 	rep.ErrRate = float64(t.errSamples) / n
 	return rep
+}
+
+// refDecode decodes a reference group integer into its numeric value and
+// its relative-error denominator max(|value|, 1).
+func refDecode(g *Group, v uint64) (ref, den float64) {
+	ref = groupFloat(g, v)
+	// ref is a finite integer, never NaN or -0, so this is math.Max's
+	// result without its special cases, cheap enough to inline.
+	if den = math.Abs(ref); den < 1 {
+		den = 1
+	}
+	return ref, den
+}
+
+// laneError scores one sample lane: the absolute and relative error of the
+// group value v against the reference value ref, whose denominator is den
+// (refDecode). Both decodes score lanes through it, so a lane's errors have
+// the same bits whichever decode computed them — the committed-lane cache
+// relies on that to reuse them.
+func laneError(g *Group, v uint64, ref, den float64) (abs, rel float64) {
+	abs = math.Abs(groupFloat(g, v) - ref)
+	return abs, abs / den
 }
 
 // decodeInt gathers the group's raw integer value for one sample lane.

@@ -138,6 +138,7 @@ func NewSequentialEvaluator(ref *logic.Circuit, spec OutputSpec, seq Sequence, s
 		}
 	}
 	e.refLanes = buildRefLanes(&e.spec, e.refOut)
+	e.refLanes.addFloats(&e.spec)
 	return e, nil
 }
 
