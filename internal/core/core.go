@@ -79,10 +79,12 @@ type Config struct {
 	// the step's next unevaluated candidate until none is left; results
 	// land in per-candidate slots and are reduced under a fixed total order
 	// on (error, area, block index), so any worker count and any claim
-	// order produce bit-identical results. Extra workers draw goroutine
-	// tokens from the machine-wide budget shared with the BMF tau sweep
-	// (internal/sched); when none is free the calling goroutine evaluates
-	// the whole sweep.
+	// order produce bit-identical results. The same workers then run the
+	// committed step's sample batches (qor.IncrementalComparer.Commit), each
+	// claiming chunks of batches; each batch writes only its own state. Extra
+	// workers draw goroutine tokens from the machine-wide budget shared with
+	// the BMF tau sweep (internal/sched.Claim); when none is free the calling
+	// goroutine does the whole sweep or commit.
 	Workers int
 	// SynthExact uses exact two-level minimization for block synthesis.
 	SynthExact bool
@@ -370,6 +372,9 @@ func (f *fullRebuildEval) shards(n int) []candidateShard {
 type incrementalEval struct {
 	res *Result
 	ic  *qor.IncrementalComparer
+	// sh are the sweep's shards (nil before shards is called); commit runs
+	// its batches on them.
+	sh []*qor.Shard
 }
 
 func (e *incrementalEval) variant(bi, degree int) *logic.Circuit {
@@ -377,17 +382,20 @@ func (e *incrementalEval) variant(bi, degree int) *logic.Circuit {
 }
 
 func (e *incrementalEval) commit(bi, newDegree int) error {
-	_, err := e.ic.Commit(bi, e.variant(bi, newDegree))
+	_, err := e.ic.Commit(bi, e.variant(bi, newDegree), e.sh...)
 	return err
 }
 
 // shards hands each sweep worker a private qor.Shard: candidate compilation
 // and execution state is owned outright (no pool contention), while the
-// committed baseline cache is shared read-only across all workers.
+// committed baseline cache is shared read-only across all workers. The
+// shards also carry commit's workers, which run only between sweeps.
 func (e *incrementalEval) shards(n int) []candidateShard {
 	out := make([]candidateShard, n)
+	e.sh = make([]*qor.Shard, n)
 	for i := range out {
-		out[i] = &incrementalShard{e: e, sh: e.ic.Shard()}
+		e.sh[i] = e.ic.Shard()
+		out[i] = &incrementalShard{e: e, sh: e.sh[i]}
 	}
 	return out
 }

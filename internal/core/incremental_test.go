@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/blasys-go/blasys/internal/bench"
@@ -10,6 +12,7 @@ import (
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
+	"github.com/blasys-go/blasys/internal/telemetry"
 )
 
 // reportsEqual compares two reports field by field, bit for bit: the
@@ -161,9 +164,58 @@ func TestIncrementalEquivalenceModes(t *testing.T) {
 // default incremental engine against the DisableIncremental full-rebuild
 // path — and requires identical exploration traces: same committed blocks,
 // same degrees, and bit-identical reports at every step, for both the
-// exhaustive and lazy explorers.
+// exhaustive and lazy explorers. A third, whole-walk run is sized so that
+// commits leave batches unchanged and the block memos carry outcomes over.
 func TestExploreIncrementalMatchesFullRebuild(t *testing.T) {
 	bm := bench.Mult8()
+	// Mult8 has 16 inputs, so 2^16 samples are exhaustive: 1024 batches, of
+	// which a commit of a K = 6 block changes only some. This run is not
+	// parallel, so the memo counter's delta is its own.
+	t.Run("memo-walk", func(t *testing.T) {
+		cfg := Config{
+			K: 6, M: 4, Samples: 1 << 16, Seed: 1, Workers: 2,
+			ExploreFully: true, MaxSteps: 14,
+		}
+		full := cfg
+		full.DisableIncremental = true
+		memo := telemetry.Default().CounterVec("blasys_qor_eval_batches_total", "", "kind").With("memo")
+		before := memo.Value()
+		ri, err := Approximate(bm.Circ, bm.Spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried := memo.Value() - before
+		rf, err := Approximate(bm.Circ, bm.Spec, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if carried <= 0 {
+			t.Fatal("no batch was carried over by a block memo: the walk does not test the memo")
+		}
+		if len(ri.Steps) < 12 || len(ri.Steps) != len(rf.Steps) {
+			t.Fatalf("incremental made %d steps, full %d (want equal, at least 12)", len(ri.Steps), len(rf.Steps))
+		}
+		for i := range ri.Steps {
+			if !reflect.DeepEqual(ri.Steps[i], rf.Steps[i]) {
+				t.Fatalf("step %d:\nincremental %+v\nfull        %+v", i, ri.Steps[i], rf.Steps[i])
+			}
+		}
+		if ri.BestStep != rf.BestStep {
+			t.Fatalf("best step %d != %d", ri.BestStep, rf.BestStep)
+		}
+		pi, pf := ri.Frontier.Points(), rf.Frontier.Points()
+		if len(pi) != len(pf) {
+			t.Fatalf("incremental recorded %d frontier points, full %d", len(pi), len(pf))
+		}
+		for i := range pi {
+			a, b := pi[i], pf[i]
+			if math.Float64bits(a.Error) != math.Float64bits(b.Error) ||
+				math.Float64bits(a.ModelArea) != math.Float64bits(b.ModelArea) || a != b {
+				t.Fatalf("frontier point %d: incremental %+v, full %+v", i, a, b)
+			}
+		}
+		t.Logf("%d steps, %d frontier points, %.0f batches carried by the memo", len(ri.Steps), len(pi), carried)
+	})
 	for _, lazy := range []bool{false, true} {
 		name := "exhaustive"
 		if lazy {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/blasys-go/blasys/internal/qor"
@@ -30,15 +28,15 @@ type sweepResult struct {
 
 // runSweep evaluates one candidate per entry of bis — block bis[i] at its
 // next-lower degree, degrees[bis[i]]-1, as Algorithm 1 tries it — across the
-// given shards, and returns the results in bis order. Each worker claims the
-// next unevaluated candidate from a shared counter, so a worker that drew
+// given shards, and returns the results in bis order. Worker w evaluates on
+// shards[w] and claims candidates through sched.Claim, so a worker that drew
 // cheap cones keeps claiming while another finishes an expensive one; each
 // result lands in its own slot, so the output is identical for every worker
 // count and every claim order — only the schedule changes. Extra workers run
 // on goroutine tokens from the machine-wide sched budget (shared with the BMF
-// tau sweep); the caller is always a worker, so when no token is free the
-// sweep runs serially on it, never blocking on the budget or oversubscribing
-// the CPU.
+// tau sweep and with Commit); the caller is always a worker, so when no token
+// is free the sweep runs serially on it, never blocking on the budget or
+// oversubscribing the CPU.
 func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis []int) []sweepResult {
 	sweepStart := time.Now()
 	defer func() {
@@ -46,38 +44,17 @@ func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis [
 		mSweepCandidates.Observe(float64(len(bis)))
 	}()
 	results := make([]sweepResult, len(bis))
-	w := len(shards)
-	if w > len(bis) {
-		w = len(bis)
-	}
-	var next atomic.Int64
-	runShard := func(sh candidateShard) {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= len(bis) || ctx.Err() != nil {
-				return
-			}
-			bi := bis[i]
-			evalStart := time.Now()
-			rep, err := sh.evaluate(degrees, bi, degrees[bi]-1)
-			mCandidateEval.Observe(time.Since(evalStart).Seconds())
-			results[i] = sweepResult{bi: bi, report: rep, err: err}
+	sched.Claim(len(shards), len(bis), func(w, i int) bool {
+		if ctx.Err() != nil {
+			return false
 		}
-	}
-	if w == 0 {
-		return results
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < w && sched.TryAcquire(); s++ {
-		wg.Add(1)
-		go func(sh candidateShard) {
-			defer wg.Done()
-			defer sched.Release()
-			runShard(sh)
-		}(shards[s])
-	}
-	runShard(shards[0])
-	wg.Wait()
+		bi := bis[i]
+		evalStart := time.Now()
+		rep, err := shards[w].evaluate(degrees, bi, degrees[bi]-1)
+		mCandidateEval.Observe(time.Since(evalStart).Seconds())
+		results[i] = sweepResult{bi: bi, report: rep, err: err}
+		return true
+	})
 	return results
 }
 

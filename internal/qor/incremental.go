@@ -3,11 +3,13 @@ package qor
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
+	"github.com/blasys-go/blasys/internal/sched"
 )
 
 // IncrementalComparer evaluates block-substitution candidates against the
@@ -41,10 +43,23 @@ import (
 // the same expression (laneError), and fold per-batch partials in batch order
 // through the same accumulator (reportAccum).
 //
+// Algorithm 1 evaluates every candidate again after each commit, and most
+// candidates are the same (block, implementation) pairs as one step before.
+// Each block keeps a memo of its latest evaluation (blockMemo): one outcome
+// per batch — clean, died in the cone, or scored with its packed partial.
+// When the same implementation is evaluated again right after the next
+// commit, every batch that commit could not have changed carries its outcome
+// over, and only the other batches run (see compareWith for the rule). Commit
+// records which batches it changed, and runs its batches on the sweep's
+// shards when it is given them.
+//
 // Memory: one word per reference node per 64-sample batch (the node-word
 // cache), plus 32 bytes per sample per output group — the reference
 // integer and the committed lane's value, absolute and relative error — and
-// one mask word per group per batch.
+// one mask word per group per batch. The memo costs each evaluated block one
+// byte per batch plus, once some commit has left a batch unchanged
+// (keepParts), 8·(3·groups+4) bytes (one packed partial) per batch its
+// latest evaluation scored, and each scratch one more such partial buffer.
 //
 // CompareCandidate is safe for concurrent use; Commit must not run
 // concurrently with CompareCandidate or with another Commit.
@@ -72,7 +87,50 @@ type IncrementalComparer struct {
 	// scored against.
 	lanes committedLanes
 
+	// epoch counts the commits so far. lastBlock is the block of the latest
+	// commit (-1 before any), and changed[b] records whether that commit
+	// re-ran batch b, i.e. its block outputs changed there: only those
+	// batches had their node words, partial and committed lanes rewritten.
+	epoch     int
+	lastBlock int
+	changed   []bool
+	// keepParts records that some commit so far left a batch unchanged. A
+	// memo's scored partial can be read only on a batch the next commit
+	// leaves unchanged, so evaluations keep partials only once a commit has
+	// done that: a circuit whose every commit changes every batch (Adder32
+	// at 2^16 samples) stores none.
+	keepParts bool
+	// memo[bi] is block bi's record of its latest evaluation.
+	memo []blockMemo
+
 	scratchPool sync.Pool
+}
+
+// Batch outcomes of a candidate evaluation, as a blockMemo records them.
+// outcomeRedo is the zero value, so an outcome never written carries nothing.
+const (
+	// outcomeRedo: scored, but the partial was not kept; run it again.
+	outcomeRedo uint8 = iota
+	// outcomeClean: the block's outputs matched the committed outputs.
+	outcomeClean
+	// outcomeDied: the outputs equal the committed outputs after the cone.
+	outcomeDied
+	// outcomeScored: scored; the packed partial is kept.
+	outcomeScored
+)
+
+// blockMemo is one block's record of its latest candidate evaluation: the
+// implementation evaluated, the epoch it was evaluated at, one outcome per
+// batch, and the packed partials (batchStats.pack) of the scored batches in
+// batch order (those of scored batches marked outcomeRedo were not kept).
+// mu is held for a whole evaluation; an evaluation that finds it held runs
+// without the memo and leaves it alone.
+type blockMemo struct {
+	mu      sync.Mutex
+	impl    *logic.Circuit
+	epoch   int
+	outcome []uint8
+	parts   []float64
 }
 
 // committedLanes is the committed circuit's per-lane decode. For every
@@ -236,11 +294,14 @@ func NewIncrementalComparer(ref *logic.Circuit, spec OutputSpec, blocks []partit
 	}
 
 	ic := &IncrementalComparer{
-		eval:   eval,
-		blocks: blocks,
-		impls:  make([]*logic.Circuit, len(blocks)),
-		stats:  make([]batchStats, eval.nBatches),
-		lanes:  newCommittedLanes(&eval.spec, eval.refLanes),
+		eval:      eval,
+		blocks:    blocks,
+		impls:     make([]*logic.Circuit, len(blocks)),
+		stats:     make([]batchStats, eval.nBatches),
+		lanes:     newCommittedLanes(&eval.spec, eval.refLanes),
+		lastBlock: -1,
+		changed:   make([]bool, eval.nBatches),
+		memo:      make([]blockMemo, len(blocks)),
 	}
 	// Cache the accurate circuit's full node-word state per batch. It
 	// matches the reference everywhere, so every partial starts at zero.
@@ -333,6 +394,8 @@ type icScratch struct {
 	// outputs and their per-output difference words.
 	out, com, diff []uint64
 	acc            reportAccum
+	// parts collects an evaluation's packed partials for the block's memo.
+	parts []float64
 }
 
 // grow32 returns buf resized to n, reallocating only on growth.
@@ -715,6 +778,25 @@ func (ic *IncrementalComparer) CompareCandidate(bi int, impl *logic.Circuit) (Re
 // compareWith is CompareCandidate over caller-owned scratch; sc must be
 // prepped (prepScratch) with clear markers, and is left compiled — the
 // caller clears its marks.
+//
+// Block bi's memo carries a batch's outcome over from the previous
+// evaluation only when that evaluation was of the same implementation
+// (pointer) exactly one commit ago, and that commit, at block j, was not at
+// bi. Then batch b keeps its outcome when
+//   - j < bi and the commit left b clean: the program is unchanged, since the
+//     cone visits only blocks after bi, and so is every word, partial and
+//     lane batch b reads;
+//   - j > bi and the outcome was clean: blocks are disjoint ascending node
+//     intervals and a block's inputs come before it, so bi's inputs and its
+//     committed outputs lie before block j, where the commit writes nothing;
+//   - j > bi, no input of block j is in bi's dirty cone, and the commit left
+//     b clean: region j compiles to nothing before and after the commit, so
+//     the program is unchanged.
+//
+// A kept clean or died batch folds the current committed partial, a kept
+// scored batch its stored partial, in batch order like every other batch,
+// so every sum keeps its bits. A scored batch whose partial was not kept
+// (keepParts was false) is recorded as outcomeRedo and runs again.
 func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Circuit) (Report, error) {
 	if err := ic.checkCandidate(bi, impl); err != nil {
 		return Report{}, err
@@ -731,28 +813,81 @@ func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Ci
 		return ic.committedRep, nil
 	}
 
+	m := &ic.memo[bi]
+	if m.mu.TryLock() {
+		defer m.mu.Unlock()
+		if len(m.outcome) != e.nBatches {
+			m.outcome = make([]uint8, e.nBatches)
+		}
+	} else {
+		m = nil // another shard holds it
+	}
+	carry := m != nil && m.impl == impl && m.epoch == ic.epoch-1 && ic.lastBlock != bi
+	after, inCone := carry && ic.lastBlock > bi, false
+	if after {
+		for _, in := range ic.blocks[ic.lastBlock].Inputs {
+			inCone = inCone || sc.dirty[in]
+		}
+	}
+	keep := m != nil && ic.keepParts
+	stride := packedLen(len(e.spec.Groups))
+	read := 0 // offset of the next recorded scored batch in m.parts
+
 	sc.acc.reset(&e.spec)
+	sc.parts = sc.parts[:0]
 	var tally laneTally
-	cleanBatches := 0
+	cleanBatches, memoBatches := 0, 0
 	for b := 0; b < e.nBatches; b++ {
+		if carry {
+			k := m.outcome[b]
+			kept := k != outcomeRedo && (after && k == outcomeClean || !inCone && !ic.changed[b])
+			switch {
+			case kept && k == outcomeScored:
+				q := m.parts[read : read+stride]
+				sc.acc.foldPacked(q)
+				sc.parts = append(sc.parts, q...)
+			case kept:
+				sc.acc.fold(&ic.stats[b])
+			}
+			if k == outcomeScored {
+				read += stride
+			}
+			if kept {
+				memoBatches++
+				continue
+			}
+		}
+		k := outcomeClean
 		if sc.runBatch(ic.base[b]) {
 			// Block outputs match the committed state: the batch's metrics
 			// are exactly the cached committed partial.
 			sc.acc.fold(&ic.stats[b])
 			cleanBatches++
-			continue
-		}
-		if ic.scoreBatch(sc, b, &sc.acc.scratch, false, &tally) {
+		} else if ic.scoreBatch(sc, b, &sc.acc.scratch, false, &tally) {
 			sc.acc.fold(&sc.acc.scratch)
+			k = outcomeRedo
+			if keep {
+				k = outcomeScored
+				sc.parts = sc.acc.scratch.pack(sc.parts)
+			}
 		} else {
 			// The wave died in the cone: the outputs are the committed ones.
 			sc.acc.fold(&ic.stats[b])
+			k = outcomeDied
+		}
+		if m != nil {
+			m.outcome[b] = k
 		}
 	}
 	rep := sc.acc.report(e.samples, e.exhaustive)
+	if m != nil {
+		m.impl, m.epoch = impl, ic.epoch
+		m.parts = append(m.parts[:0], sc.parts...)
+	}
 	mSimSeconds.Add(time.Since(compiled).Seconds())
 	mEvalBatchKind.With("clean").Add(float64(cleanBatches))
-	mEvalBatchKind.With("cone").Add(float64(e.nBatches - cleanBatches))
+	mEvalBatchKind.With("cone").Add(float64(e.nBatches - cleanBatches - memoBatches))
+	mEvalBatchKind.With("memo").Add(float64(memoBatches))
 	mEvalBatches.Observe(float64(e.nBatches))
 	mEvalLanes.With("rescored").Add(float64(tally.rescored))
 	mEvalLanes.With("reused").Add(float64(tally.reused))
@@ -780,35 +915,72 @@ func (ic *IncrementalComparer) scoreBatch(sc *icScratch, b int, p *batchStats, u
 	return ic.lanes.score(b, out, com, e.refOut[b], mask, sc.diff, p, update, t)
 }
 
+// commitChunk is the number of consecutive batches a Commit worker claims at
+// a time.
+const commitChunk = 16
+
 // Commit substitutes impl into block bi permanently: the committed node-word
 // cache is updated along the dirty cone, every batch whose outputs change is
 // re-scored in update mode — advancing its partial and the committed-lane
 // cache — and subsequent candidates are evaluated on top of the new state.
-// Batches the substitution leaves unchanged keep their partials and lanes.
+// Batches the substitution leaves unchanged keep their partials and lanes,
+// and Commit records which batches it changed for the block memos.
 // Returns the committed circuit's report.
-func (ic *IncrementalComparer) Commit(bi int, impl *logic.Circuit) (Report, error) {
+//
+// Batches are independent here: each writes only its own node words,
+// partial, committed lanes and error masks. Given distinct shards of ic,
+// none of them in use, Commit spreads the batches over them like a sweep
+// (sched.Claim): worker w compiles the program once into on[w]'s scratch
+// and claims chunks of commitChunk batches. The committed report is folded
+// serially after the join. Without shards it runs on one pooled scratch.
+func (ic *IncrementalComparer) Commit(bi int, impl *logic.Circuit, on ...*Shard) (Report, error) {
 	if err := ic.checkCandidate(bi, impl); err != nil {
 		return Report{}, err
 	}
-	sc := ic.getScratch()
-	defer ic.putScratch(sc)
-	ic.compile(bi, impl, sc)
-	var tally laneTally
-	for b := 0; b < ic.eval.nBatches; b++ {
-		base := ic.base[b]
-		if sc.runBatch(base) {
-			continue // batch unaffected; cache already correct
+	scs := make([]*icScratch, len(on))
+	for w, s := range on {
+		scs[w] = &s.sc
+	}
+	if len(scs) == 0 {
+		sc := ic.getScratch()
+		defer ic.scratchPool.Put(sc)
+		scs = append(scs, sc)
+	}
+	compiled := make([]bool, len(scs))
+	nBatches := ic.eval.nBatches
+	sched.Claim(len(scs), (nBatches+commitChunk-1)/commitChunk, func(w, c int) bool {
+		sc := scs[w]
+		if !compiled[w] {
+			ic.prepScratch(sc)
+			ic.compile(bi, impl, sc)
+			compiled[w] = true
 		}
-		ic.scoreBatch(sc, b, &ic.stats[b], true, &tally)
-		// Fold every recomputed node into the cache. dirtyList holds the
-		// statically-written reference nodes, all of which the program
-		// computed for this batch.
-		w := sc.slots
-		for _, n := range sc.dirtyList {
-			base[n] = w[n]
+		var tally laneTally
+		for b := c * commitChunk; b < min((c+1)*commitChunk, nBatches); b++ {
+			base := ic.base[b]
+			ic.changed[b] = !sc.runBatch(base)
+			if !ic.changed[b] {
+				continue // batch unaffected; cache already correct
+			}
+			ic.scoreBatch(sc, b, &ic.stats[b], true, &tally)
+			// Fold every recomputed node into the cache. dirtyList holds the
+			// statically-written reference nodes, all of which the program
+			// computed for this batch.
+			for _, n := range sc.dirtyList {
+				base[n] = sc.slots[n]
+			}
+		}
+		return true
+	})
+	for w, sc := range scs {
+		if compiled[w] {
+			sc.clearMarks()
 		}
 	}
 	ic.impls[bi] = impl
+	ic.epoch++
+	ic.lastBlock = bi
+	ic.keepParts = ic.keepParts || slices.Contains(ic.changed, false)
 	ic.committedRep = ic.foldCommitted()
 	return ic.committedRep, nil
 }
@@ -830,18 +1002,23 @@ func (ic *IncrementalComparer) foldCommitted() Report {
 // one Shard outright, so candidate evaluations proceed with zero scratch-pool
 // contention and zero steady-state allocation, while all shards read the same
 // committed baseline cache (ic.base), per-batch metric partials and
-// committed-lane cache.
+// committed-lane cache. Commit can borrow the shards as its workers' scratch
+// between sweeps.
 //
 // Concurrency contract: CompareCandidate may run concurrently on distinct
 // Shards (and concurrently with the parent's CompareCandidate); a single
 // Shard is not safe for concurrent use with itself, and no Shard may run
 // concurrently with IncrementalComparer.Commit — commits mutate the shared
 // baseline the shards read. Shards stay valid across commits: the next
-// evaluation simply sees the new committed state.
+// evaluation simply sees the new committed state. Two shards may evaluate
+// the same block at once; both results are exact, and only the one that
+// takes the block's memo first uses and updates it — the other evaluates
+// every batch.
 //
-// Because evaluation is read-only and deterministic, a candidate evaluated
-// through any Shard returns a report bit-identical to the parent's
-// CompareCandidate — sharding affects scheduling, never results.
+// Because every evaluation is deterministic and the memo only skips batches
+// whose outcome it proves unchanged, a candidate evaluated through any Shard
+// returns a report bit-identical to the parent's CompareCandidate —
+// sharding affects scheduling, never results.
 type Shard struct {
 	ic *IncrementalComparer
 	sc icScratch

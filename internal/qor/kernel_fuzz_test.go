@@ -4,12 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/blasys-go/blasys/internal/bench"
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
+	"github.com/blasys-go/blasys/internal/telemetry"
 )
 
 // Differential fuzz of the incremental kernel on random circuits nobody
@@ -19,7 +21,8 @@ import (
 // Evaluator.Compare), across commits. The seeded corpus reads every output
 // as one unsigned group, plus a wide group beside a narrow one;
 // TestLaneDecodeEdgeCases adds fixed output interpretations that stress the
-// per-sample-lane decode. The CI kernel job runs both repeatedly under -race.
+// per-sample-lane decode, and TestKernelMemoFuzz the block memos and the
+// parallel Commit. The CI kernel job runs all three repeatedly under -race.
 
 var fuzzSeeds = flag.Int("kernelfuzz.seeds", 6, "random circuits per kernel fuzz run")
 
@@ -233,5 +236,201 @@ func TestLaneDecodeEdgeCases(t *testing.T) {
 				t.Fatalf("effective samples %d, want %d", got, sh.wantSamples)
 			}
 		})
+	}
+}
+
+// flipImpl returns a copy of impl whose outputs are complemented on a few
+// input patterns: each of n random full assignments of impl's inputs flips
+// one random output. On an exhaustive input space such a change reaches only
+// the batches where its patterns occur, so commits of it leave batches
+// unchanged and candidates built this way stay clean on most batches.
+func flipImpl(rng *rand.Rand, impl *logic.Circuit, n int) *logic.Circuit {
+	c := impl.Clone()
+	b := logic.WrapBuilder(c)
+	for p := 0; p < n; p++ {
+		pat := rng.Uint64()
+		lits := make([]logic.NodeID, len(c.Inputs))
+		for i, in := range c.Inputs {
+			if pat>>uint(i)&1 == 0 {
+				in = b.Not(in)
+			}
+			lits[i] = in
+		}
+		o := rng.Intn(len(c.Outputs))
+		c.Outputs[o] = b.Xor(c.Outputs[o], b.AndTree(lits))
+	}
+	return c
+}
+
+// TestKernelMemoFuzz drives the comparer in Algorithm 1's shape — every
+// block keeps a candidate that is evaluated again after each commit — over
+// exhaustive input spaces, where commits that change a block on a few input
+// patterns leave most batches alone and the block memos carry outcomes
+// over. Every report must equal the paper-literal rebuild's. Rounds skip
+// some candidates, so their memos go two commits stale; some commits land on
+// a block whose candidate stays the same; two shards evaluate one block at
+// once; and a twin comparer that commits on several shards must report
+// exactly what the one committing serially does. The memo counter must
+// move, so the test cannot pass without the memo.
+func TestKernelMemoFuzz(t *testing.T) {
+	memo := telemetry.Default().CounterVec("blasys_qor_eval_batches_total", "", "kind").With("memo")
+	before := memo.Value()
+	nSeeds := *fuzzSeeds
+	if testing.Short() {
+		nSeeds = 2
+	}
+	for seed := int64(1); seed <= int64(nSeeds); seed++ {
+		seed := seed
+		t.Run("", func(t *testing.T) { memoFuzz(t, rand.New(rand.NewSource(seed*7919))) })
+	}
+	if memo.Value() == before {
+		t.Fatal("no batch was carried over by a block memo")
+	}
+}
+
+func memoFuzz(t *testing.T, rng *rand.Rand) {
+	nIn := 11 + rng.Intn(2)
+	bc := bench.RandomCircuit(rng, bench.RandomOptions{
+		Inputs: nIn, Gates: 70 + rng.Intn(70), Outputs: 6 + rng.Intn(5),
+	})
+	prepared := logic.ReorderDFS(logic.Sweep(bc.Circ))
+	nOut := len(prepared.Outputs)
+	spec := qor.Unsigned("z", nOut)
+	if rng.Intn(2) == 0 {
+		spec = groupedSpec([]int{nOut / 2, nOut - nOut/2}, []bool{true, rng.Intn(2) == 0})
+	}
+	blocks, err := partition.Decompose(prepared, partition.Options{MaxInputs: 6, MaxOutputs: 3})
+	if err != nil || len(blocks) < 3 {
+		t.Skipf("decompose: %v (%d blocks)", err, len(blocks))
+	}
+	samples := 1 << uint(len(prepared.Inputs))
+	serial, err := qor.NewIncrementalComparer(prepared, spec, blocks, samples, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := qor.NewIncrementalComparer(prepared, spec, blocks, samples, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := qor.NewEvaluator(prepared, spec, samples, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shA, shB := serial.Shard(), serial.Shard()
+	twinShards := []*qor.Shard{twin.Shard(), twin.Shard(), twin.Shard()}
+
+	// committed[bi] is the implementation committed for block bi, the
+	// extracted accurate block until then; cands[bi] is bi's candidate.
+	committed := make([]*logic.Circuit, len(blocks))
+	cands := make([]*logic.Circuit, len(blocks))
+	for bi := range blocks {
+		if committed[bi], err = partition.Extract(prepared, blocks[bi]); err != nil {
+			t.Fatal(err)
+		}
+		cands[bi] = flipImpl(rng, committed[bi], 1+rng.Intn(2))
+	}
+	literal := func(bi int, impl *logic.Circuit) qor.Report {
+		t.Helper()
+		merged := map[int]*logic.Circuit{}
+		for cb, ci := range committed {
+			merged[cb] = ci
+		}
+		merged[bi] = impl
+		circ, err := logic.ReplaceBlocks(prepared, partition.Substitutions(blocks, merged))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := eval.Compare(circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	for round := 0; round < 12; round++ {
+		// The sweep: most blocks' candidates are evaluated again; the rest
+		// skip this round, so their memos are two commits old next time.
+		var sweep []int
+		for bi := range blocks {
+			if round == 0 || rng.Intn(4) != 0 {
+				sweep = append(sweep, bi)
+			}
+		}
+		got := make([]qor.Report, len(sweep))
+		errs := make([]error, len(twinShards))
+		var wg sync.WaitGroup
+		for w, sh := range twinShards {
+			wg.Add(1)
+			go func(w int, sh *qor.Shard) {
+				defer wg.Done()
+				for i := w; i < len(sweep); i += len(twinShards) {
+					if got[i], errs[w] = sh.CompareCandidate(sweep[i], cands[sweep[i]]); errs[w] != nil {
+						return
+					}
+				}
+			}(w, sh)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One block is evaluated on two shards at once: only one of them
+		// may use the memo, and both must be exact.
+		both := sweep[rng.Intn(len(sweep))]
+		var pair [2]qor.Report
+		var pairErr [2]error
+		wg.Add(2)
+		for k, sh := range []*qor.Shard{shA, shB} {
+			go func(k int, sh *qor.Shard) {
+				defer wg.Done()
+				pair[k], pairErr[k] = sh.CompareCandidate(both, cands[both])
+			}(k, sh)
+		}
+		wg.Wait()
+		for i, bi := range sweep {
+			want := literal(bi, cands[bi])
+			rep := pair[0]
+			if bi != both {
+				if rep, err = shA.CompareCandidate(bi, cands[bi]); err != nil {
+					t.Fatal(err)
+				}
+			} else if pairErr[0] != nil || pairErr[1] != nil {
+				t.Fatal(pairErr)
+			} else if pair[1] != want {
+				t.Fatalf("round %d block %d: second shard %+v != paper-literal %+v", round, bi, pair[1], want)
+			}
+			if rep != want {
+				t.Fatalf("round %d block %d: serial-commit comparer %+v != paper-literal %+v", round, bi, rep, want)
+			}
+			if got[i] != want {
+				t.Fatalf("round %d block %d: parallel-commit comparer %+v != paper-literal %+v", round, bi, got[i], want)
+			}
+		}
+
+		// Commit a change to a few input patterns of one block. Its
+		// candidate keeps its pointer unless replaced below, so the next
+		// round evaluates it with a memo one epoch old and a commit on its
+		// own block.
+		j := rng.Intn(len(blocks))
+		impl := flipImpl(rng, committed[j], 1+rng.Intn(2))
+		committed[j] = impl
+		want := literal(j, impl)
+		repA, err := serial.Commit(j, impl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repB, err := twin.Commit(j, impl, twinShards...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repA != want || repB != want {
+			t.Fatalf("round %d: commit of block %d: serial %+v, on %d shards %+v, paper-literal %+v",
+				round, j, repA, len(twinShards), repB, want)
+		}
+		if rng.Intn(3) == 0 {
+			cands[j] = flipImpl(rng, impl, 1+rng.Intn(2))
+		}
 	}
 }

@@ -6,13 +6,13 @@ import (
 
 // Hot-loop telemetry for the incremental comparer. Per-candidate evaluation
 // latency is recorded by the sweep driver (internal/core); here the eval is
-// split into its compile and simulate phases, and the clean-wave early-out
-// and the committed-lane reuse are counted so the caches' effectiveness
-// (clean vs cone batches, rescored vs reused lanes) is visible. Counters
-// aggregate seconds rather than per-phase histograms because the phases run
-// per candidate in the innermost loop — two clock reads per eval is the
-// entire added cost — and lane counts are summed in locals and added once
-// per eval, never per batch.
+// split into its compile and simulate phases, and the clean-wave early-out,
+// the block memo and the committed-lane reuse are counted so the caches'
+// effectiveness (clean, cone and memo batches, rescored vs reused lanes) is
+// visible. Counters aggregate seconds rather than per-phase histograms
+// because the phases run per candidate in the innermost loop — two clock
+// reads per eval is the entire added cost — and batch and lane counts are
+// summed in locals and added once per eval, never per batch.
 var (
 	mCompileSeconds = telemetry.Default().Counter(
 		"blasys_qor_eval_compile_seconds_total",
@@ -22,7 +22,7 @@ var (
 		"Cumulative time in the per-batch simulate/fold loop of candidate evals.")
 	mEvalBatchKind = telemetry.Default().CounterVec(
 		"blasys_qor_eval_batches_total",
-		"Sample batches processed by candidate evals, by outcome: clean (cached partial folded) vs cone (re-simulated).",
+		"Sample batches processed by candidate evals, by outcome: clean (cached partial folded), cone (re-simulated) or memo (outcome carried over from the block's evaluation before the last commit).",
 		"kind")
 	mEvalLanes = telemetry.Default().CounterVec(
 		"blasys_qor_eval_lanes_total",

@@ -383,6 +383,20 @@ func (p *batchStats) reset(nGroups int) {
 	p.worstRel, p.worstAbs = 0, 0
 }
 
+// packedLen is the length of a batch partial over nGroups output groups in
+// packed form (batchStats.pack).
+func packedLen(nGroups int) int { return 3*nGroups + 4 }
+
+// pack appends p to dst in packed form: sumRel, sumAbs and sumSq per group,
+// then hamming, errSamples, worstRel and worstAbs. The two counts are
+// integers far below 2^53, so their float64 form is exact.
+func (p *batchStats) pack(dst []float64) []float64 {
+	dst = append(dst, p.sumRel...)
+	dst = append(dst, p.sumAbs...)
+	dst = append(dst, p.sumSq...)
+	return append(dst, float64(p.hamming), float64(p.errSamples), p.worstRel, p.worstAbs)
+}
+
 // computeBatchStats fills p with the batch's statistics: the reference
 // decode, which scores every lane where out differs from the reference.
 // mask selects the valid sample lanes (all ones except possibly the final
@@ -488,6 +502,27 @@ func (a *reportAccum) fold(p *batchStats) {
 	}
 	if p.worstAbs > t.worstAbs {
 		t.worstAbs = p.worstAbs
+	}
+}
+
+// foldPacked is fold for a partial in packed form (batchStats.pack): the
+// same additions and maxima in the same order, so the totals keep their bits.
+func (a *reportAccum) foldPacked(q []float64) {
+	t := &a.totals
+	n := len(t.sumRel)
+	for gi := range t.sumRel {
+		t.sumRel[gi] += q[gi]
+		t.sumAbs[gi] += q[n+gi]
+		t.sumSq[gi] += q[2*n+gi]
+	}
+	q = q[3*n:]
+	t.hamming += int64(q[0])
+	t.errSamples += int64(q[1])
+	if q[2] > t.worstRel {
+		t.worstRel = q[2]
+	}
+	if q[3] > t.worstAbs {
+		t.worstAbs = q[3]
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sched provides the machine-wide goroutine budget shared by every
 // parallel fan-out in the flow: the BMF tau sweep (internal/bmf), the
-// explorer's per-step candidate sweep (internal/core), and any future
-// data-parallel stage. The flow's parallelism nests — engine workers run
+// explorer's per-step candidate sweep (internal/core), the batches of each
+// committed step (qor.IncrementalComparer.Commit), and any future
+// data-parallel stage. Claim is the claim-and-spawn loop the last two share. The flow's parallelism nests — engine workers run
 // jobs whose profiling is parallel across blocks, each block factorization
 // sweeps taus in parallel, and each exploration step sweeps candidates in
 // parallel — so letting every layer size its own pool at GOMAXPROCS would
@@ -20,6 +21,8 @@ package sched
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/blasys-go/blasys/internal/telemetry"
 )
@@ -63,6 +66,46 @@ func TryAcquire() bool {
 func Release() {
 	<-tokens
 	mInUse.Add(-1)
+}
+
+// Claim calls do(worker, item) once for every item in [0, items) — unless a
+// call returns false, which stops that worker — spread over at most workers
+// workers, and returns when all of them have stopped. Each worker claims the
+// next unclaimed item from a shared counter, so a worker that drew cheap
+// items keeps claiming while another finishes an expensive one. Worker 0 is
+// the calling goroutine; workers 1, 2, ... each run on a goroutine of their
+// own while TryAcquire grants a token, and the first denial stops the
+// spawning, so with no token free the caller does every item itself. Worker
+// indices are dense from 0, which lets callers give each worker private
+// state; which worker gets which item depends on the schedule, so callers
+// write each item's result into a slot of its own.
+func Claim(workers, items int, do func(worker, item int) bool) {
+	if workers > items {
+		workers = items
+	}
+	if workers <= 0 {
+		return
+	}
+	var next atomic.Int64
+	run := func(w int) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= items || !do(w, i) {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers && TryAcquire(); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer Release()
+			run(w)
+		}(w)
+	}
+	run(0)
+	wg.Wait()
 }
 
 // Budget reports the total token count (the machine-wide cap on extra
