@@ -19,17 +19,57 @@ import (
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
+	"github.com/blasys-go/blasys/internal/tt"
 )
 
 // BenchmarkFactorize measures bmf.Factorize (ASSO + tau sweep + exact row
-// refinement) on a real Mult8 block truth matrix across all degrees.
+// refinement) on a real Mult8 block truth matrix across all degrees, one
+// call per degree.
 func BenchmarkFactorize(b *testing.B) {
+	M, maxF := widestMult8Block(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for f := 1; f <= maxF; f++ {
+			if _, err := bmf.Factorize(M, f, bmf.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkFactorizeDegrees times the all-degree pass block profiling runs
+// on BenchmarkFactorize's block, for both factor families: one
+// FactorizeDegrees (or FactorizeColumnsDegrees) call computes every degree.
+func BenchmarkFactorizeDegrees(b *testing.B) {
+	M, maxF := widestMult8Block(b)
+	b.Run("asso", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bmf.FactorizeDegrees(M, maxF, bmf.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("columns", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bmf.FactorizeColumnsDegrees(M, maxF, bmf.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// widestMult8Block returns the truth matrix of Mult8's block with the most
+// outputs (the worst-case inner loop) and its highest profiled degree.
+func widestMult8Block(b *testing.B) (*tt.Matrix, int) {
+	b.Helper()
 	prepared := logic.ReorderDFS(bench.Mult8().Circ)
 	blocks, err := partition.Decompose(prepared, partition.Options{MaxInputs: 10, MaxOutputs: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Factorize the widest block: the worst-case inner loop.
 	best := -1
 	for bi, blk := range blocks {
 		if len(blk.Inputs) > 16 || len(blk.Outputs) < 2 {
@@ -46,19 +86,7 @@ func BenchmarkFactorize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	maxF := len(blocks[best].Outputs) - 1
-	if maxF > bmf.MaxDegree {
-		maxF = bmf.MaxDegree
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for f := 1; f <= maxF; f++ {
-			if _, err := bmf.Factorize(M, f, bmf.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	return M, min(len(blocks[best].Outputs)-1, bmf.MaxDegree)
 }
 
 // profileOnly runs decomposition + profiling without exploration (MaxSteps

@@ -119,59 +119,99 @@ type Result struct {
 // Factorize computes an f-degree Boolean factorization of M.
 // f must satisfy 1 <= f <= min(M.Cols, MaxDegree).
 func Factorize(M *tt.Matrix, f int, opt Options) (*Result, error) {
+	if err := checkDegree(M, f); err != nil {
+		return nil, err
+	}
+	out, err := factorizeDegrees(M, onlyDegree(f), opt)
+	if err != nil {
+		return nil, err
+	}
+	return out[f-1], nil
+}
+
+// FactorizeDegrees factorizes M at every degree from 1 to maxF and returns
+// the results indexed by f-1; out[f-1] is bit for bit Factorize(M, f, opt).
+// It is the profiling primitive of Algorithm 1 (lines 3–10), and costs one
+// degree-maxF factorization: see factorizeDegrees.
+// maxF must satisfy 1 <= maxF <= min(M.Cols, MaxDegree).
+func FactorizeDegrees(M *tt.Matrix, maxF int, opt Options) ([]*Result, error) {
+	if err := checkDegree(M, maxF); err != nil {
+		return nil, err
+	}
+	return factorizeDegrees(M, allDegrees(maxF), opt)
+}
+
+// checkDegree validates a factorization problem's matrix and degree.
+func checkDegree(M *tt.Matrix, f int) error {
 	if M == nil || M.Rows == 0 || M.Cols == 0 {
-		return nil, fmt.Errorf("bmf: empty matrix")
+		return fmt.Errorf("bmf: empty matrix")
 	}
 	if f < 1 || f > M.Cols || f > MaxDegree {
-		return nil, fmt.Errorf("bmf: degree f=%d out of range [1, min(%d, %d)]", f, M.Cols, MaxDegree)
+		return fmt.Errorf("bmf: degree f=%d out of range [1, min(%d, %d)]", f, M.Cols, MaxDegree)
 	}
-	weights := opt.ColWeights
-	if weights == nil {
-		weights = tt.UniformWeights(M.Cols)
+	return nil
+}
+
+// allDegrees and onlyDegree build the want masks of the all-degree kernels:
+// want[f-1] asks for degree f's result, and len(want) is the highest degree
+// the pass runs to.
+func allDegrees(maxF int) []bool {
+	want := make([]bool, maxF)
+	for i := range want {
+		want[i] = true
 	}
-	if len(weights) != M.Cols {
-		return nil, fmt.Errorf("bmf: %d column weights for %d columns", len(weights), M.Cols)
-	}
-	wplus, wminus := opt.WPlus, opt.WMinus
-	if wplus == 0 {
-		wplus = 1
-	}
-	if wminus == 0 {
-		wminus = 1
-	}
-	sweep := opt.TauSweep
-	if sweep == nil {
-		sweep = DefaultTauSweep
-	}
+	return want
+}
+
+func onlyDegree(f int) []bool {
+	want := make([]bool, f)
+	want[f-1] = true
+	return want
+}
+
+// Refinement winners are stored as uint16 combination indices; this
+// constant stops compiling if MaxDegree outgrows them.
+const _ uint16 = 1<<MaxDegree - 1
+
+// factorizeDegrees is the one ASSO kernel behind Factorize,
+// FactorizeDegrees and their cached forms. It returns out[f-1] =
+// Factorize(M, f, opt) for every f with want[f-1] set (nil elsewhere), from a
+// single greedy run and a single refinement scan per tau, up to maxF =
+// len(want). Three prefix properties make that exact:
+//
+//   - ASSO's pick i maximizes the cover gain against the rows covered by
+//     picks 0..i-1 alone; the degree only decides when to stop. So degree
+//     f's greedy B and C are the first f columns of B and rows of C of one
+//     run to maxF.
+//   - Refinement at degree f scans the combinations s = 0..2^f-1 of C's
+//     first f rows, which are the first 2^f entries of the 2^maxF table, and
+//     keeps the first zero diff or else the first strict minimum. One scan
+//     per row records its running winner at s = 2^f-1 for every f; a zero
+//     diff at s0 ends the scan and is the winner of every degree not yet
+//     recorded. Under SkipRefine, degree f's usage row is the greedy row
+//     masked to f bits.
+//   - Factorize picks, over the sweep, the first tau in sweep order with the
+//     least (WeightedError, Hamming). That is the minimum over
+//     (WeightedError, Hamming, tau index) whenever the errors compare (no
+//     NaN), so each tau merges its degrees into one best per degree as it
+//     finishes, in any order, and only that best is kept.
+func factorizeDegrees(M *tt.Matrix, want []bool, opt Options) ([]*Result, error) {
 	start := time.Now()
+	p, err := newAssoPass(M, want, opt)
+	if err != nil {
+		return nil, err
+	}
+	sweep := p.opt.TauSweep
 	defer func() {
 		mFactorize.With("asso").Observe(time.Since(start).Seconds())
 		mTauSweepWidth.Observe(float64(len(sweep)))
 	}()
-
-	// The column co-occurrence statistics feeding the association matrix are
-	// tau-independent: compute them once and share across the whole sweep.
-	stats := newAssoStats(M)
-	wt := tt.NewWeightTable(weights)
-
-	results := make([]*Result, len(sweep))
-	runTau := func(ti int) {
-		tau := sweep[ti]
-		B, C := asso(M, f, tau, wplus, wminus, wt, stats, opt.Semiring)
-		if !opt.SkipRefine {
-			refineRows(M, B, C, wt, opt.Semiring)
-		}
-		res := score(M, B, C, wt, opt.Semiring)
-		res.Tau = tau
-		results[ti] = res
-	}
 	// Each tau's factorization is independent; sweep them in parallel.
-	// Selection below walks results in sweep order, so the winner is the
-	// same factorization the serial sweep finds. Tokens come from the
-	// machine-wide sched budget, so concurrent Factorize callers (profiling
-	// is already parallel across blocks, exploration sweeps candidates)
-	// share one budget instead of multiplying goroutines; a caller that
-	// gets no token runs the tau inline.
+	// Tokens come from the machine-wide sched budget, so concurrent callers
+	// (profiling is already parallel across blocks, exploration sweeps
+	// candidates) share one budget instead of multiplying goroutines; a
+	// caller that gets no token runs the tau inline.
+	runTau := func(ti int) { p.merge(p.tau(ti)) }
 	if runtime.GOMAXPROCS(0) > 1 && len(sweep) > 1 {
 		var wg sync.WaitGroup
 		for ti := range sweep {
@@ -192,25 +232,119 @@ func Factorize(M *tt.Matrix, f int, opt Options) (*Result, error) {
 			runTau(ti)
 		}
 	}
-
-	var best *Result
-	for _, res := range results {
-		if best == nil || res.WeightedError < best.WeightedError ||
-			(res.WeightedError == best.WeightedError && res.Hamming < best.Hamming) {
-			best = res
-		}
-	}
-	return best, nil
+	return p.best, nil
 }
 
-// score computes the error metrics of a candidate factorization.
-func score(M, B, C *tt.Matrix, wt *tt.WeightTable, sr Semiring) *Result {
-	prod := sr.Product(B, C)
-	return &Result{
-		B:             B,
-		C:             C,
-		Hamming:       tt.HammingDistance(M, prod),
-		WeightedError: wt.WeightedHamming(M, prod),
+// assoPass is one run of the ASSO kernel: the problem with its defaults
+// resolved, the statistics every tau shares, and the best result so far of
+// each wanted degree.
+type assoPass struct {
+	M       *tt.Matrix
+	want    []bool
+	opt     Options
+	stats   *assoStats
+	wt      *tt.WeightTable
+	mu      sync.Mutex // guards best and bestTau
+	best    []*Result
+	bestTau []int // sweep index of best[f-1]
+}
+
+func newAssoPass(M *tt.Matrix, want []bool, opt Options) (*assoPass, error) {
+	weights := opt.ColWeights
+	if weights == nil {
+		weights = tt.UniformWeights(M.Cols)
+	}
+	if len(weights) != M.Cols {
+		return nil, fmt.Errorf("bmf: %d column weights for %d columns", len(weights), M.Cols)
+	}
+	if opt.WPlus == 0 {
+		opt.WPlus = 1
+	}
+	if opt.WMinus == 0 {
+		opt.WMinus = 1
+	}
+	if opt.TauSweep == nil {
+		opt.TauSweep = DefaultTauSweep
+	}
+	return &assoPass{
+		M: M, want: want, opt: opt,
+		// The column co-occurrence statistics feeding the association matrix
+		// are tau-independent: compute them once and share across the sweep.
+		stats:   newAssoStats(M),
+		wt:      tt.NewWeightTable(weights),
+		best:    make([]*Result, len(want)),
+		bestTau: make([]int, len(want)),
+	}, nil
+}
+
+// tauRun is one tau's factorization at every wanted degree: the greedy
+// basis to the pass's highest degree, the refined usage rows, and each
+// degree's errors.
+type tauRun struct {
+	ti      int
+	B, C    *tt.Matrix
+	refined [][]uint16 // refined[f-1][r]; nil under SkipRefine
+	hamming []int
+	werr    []float64
+}
+
+// usage is degree f's usage row r: the refined winner, or the greedy row
+// masked to the first f basis rows.
+func (t *tauRun) usage(f, r int) uint64 {
+	if t.refined != nil {
+		return uint64(t.refined[f-1][r])
+	}
+	return t.B.Row[r] & (uint64(1)<<uint(f) - 1)
+}
+
+// tau factorizes at sweep[ti] for every wanted degree.
+func (p *assoPass) tau(ti int) *tauRun {
+	maxF := len(p.want)
+	t := &tauRun{ti: ti, hamming: make([]int, maxF), werr: make([]float64, maxF)}
+	t.B, t.C = asso(p.M, maxF, p.opt.TauSweep[ti], p.opt.WPlus, p.opt.WMinus, p.wt, p.stats, p.opt.Semiring)
+	combos := combinations(t.C, p.opt.Semiring)
+	if !p.opt.SkipRefine {
+		t.refined = refineRows(p.M, combos, p.want, p.wt)
+	}
+	// Row r of degree f's product B∘C is combos[usage(f, r)]; the errors sum
+	// exactly as tt.HammingDistance and WeightTable.WeightedHamming do over
+	// the materialized product.
+	for f := 1; f <= maxF; f++ {
+		if !p.want[f-1] {
+			continue
+		}
+		for r, row := range p.M.Row {
+			if d := combos[t.usage(f, r)] ^ row; d != 0 {
+				t.hamming[f-1] += bits.OnesCount64(d)
+				t.werr[f-1] += p.wt.Sum(d)
+			}
+		}
+	}
+	return t
+}
+
+// merge keeps, for each wanted degree, whichever of t and the best so far
+// comes first in (WeightedError, Hamming, tau index).
+func (p *assoPass) merge(t *tauRun) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for f := 1; f <= len(p.want); f++ {
+		if !p.want[f-1] {
+			continue
+		}
+		h, e := t.hamming[f-1], t.werr[f-1]
+		if cur := p.best[f-1]; cur == nil || e < cur.WeightedError || (e == cur.WeightedError &&
+			(h < cur.Hamming || (h == cur.Hamming && t.ti < p.bestTau[f-1]))) {
+			B := tt.NewMatrix(p.M.Rows, f)
+			for r := range B.Row {
+				B.Row[r] = t.usage(f, r)
+			}
+			p.best[f-1] = &Result{
+				B: B, C: tt.MatrixFromRows(p.M.Cols, t.C.Row[:f]),
+				Hamming: h, WeightedError: e, Tau: p.opt.TauSweep[t.ti],
+			}
+			p.bestTau[f-1] = t.ti
+		}
 	}
 }
 
@@ -357,13 +491,11 @@ func dedupe(xs []uint64) []uint64 {
 	return out
 }
 
-// refineRows replaces each row of B with the exactly optimal usage
-// combination for the fixed basis C under the given semiring and weights.
-// All 2^f combination values are precomputed once; each candidate diff is
-// scored by the byte-sliced weight table instead of a per-bit loop.
-func refineRows(M, B, C *tt.Matrix, wt *tt.WeightTable, sr Semiring) {
-	f := C.Rows
-	combos := make([]uint64, 1<<uint(f))
+// combinations returns the 2^f combination values of C's f rows under the
+// semiring: entry s combines the rows whose bits are set in s, so entry s is
+// row r of B∘C for any usage row B[r] = s.
+func combinations(C *tt.Matrix, sr Semiring) []uint64 {
+	combos := make([]uint64, 1<<uint(C.Rows))
 	for s := 1; s < len(combos); s++ {
 		low := bits.TrailingZeros64(uint64(s))
 		rest := combos[s&^(1<<uint(low))]
@@ -373,41 +505,48 @@ func refineRows(M, B, C *tt.Matrix, wt *tt.WeightTable, sr Semiring) {
 			combos[s] = rest | C.Row[low]
 		}
 	}
-	for r := 0; r < M.Rows; r++ {
-		target := M.Row[r]
-		bestS, bestErr := 0, math.Inf(1)
-		for s := range combos {
-			d := combos[s] ^ target
-			if d == 0 {
-				bestS, bestErr = s, 0
-				break
-			}
-			e := wt.Sum(d)
-			if e < bestErr {
-				bestS, bestErr = s, e
-			}
-		}
-		B.Row[r] = uint64(bestS)
-	}
+	return combos
 }
 
-// FactorizeAllDegrees factorizes M at every degree from 1 to maxF and
-// returns the results indexed by f-1. It is the profiling primitive used by
-// Algorithm 1 (lines 3–10).
-func FactorizeAllDegrees(M *tt.Matrix, maxF int, opt Options) ([]*Result, error) {
-	if maxF > M.Cols {
-		maxF = M.Cols
-	}
-	if maxF > MaxDegree {
-		maxF = MaxDegree
-	}
-	out := make([]*Result, maxF)
-	for f := 1; f <= maxF; f++ {
-		res, err := Factorize(M, f, opt)
-		if err != nil {
-			return nil, err
+// refineRows is the exact per-row refinement at every wanted degree: with
+// the basis fixed, usage row r at degree f is the combination of the first f
+// basis rows (the first 2^f entries of combos) nearest M's row r in weighted
+// Hamming distance, the first zero diff or else the first strict minimum in
+// scan order. It returns refined[f-1][r] for each wanted f (nil elsewhere),
+// from one scan of combos per row; each diff is scored by the byte-sliced
+// weight table instead of a per-bit loop.
+func refineRows(M *tt.Matrix, combos []uint64, want []bool, wt *tt.WeightTable) [][]uint16 {
+	refined := make([][]uint16, len(want))
+	for i, w := range want {
+		if w {
+			refined[i] = make([]uint16, M.Rows)
 		}
-		out[f-1] = res
 	}
-	return out, nil
+	for r, target := range M.Row {
+		bestS, bestErr := 0, math.Inf(1)
+		// Degree f's scan ends at s = 2^f-1: next is that s for f = i+1.
+		i, next := 0, 1
+		for s, c := range combos {
+			d := c ^ target
+			if d == 0 {
+				bestS = s
+				break
+			}
+			if e := wt.Sum(d); e < bestErr {
+				bestS, bestErr = s, e
+			}
+			if s == next {
+				if refined[i] != nil {
+					refined[i][r] = uint16(bestS)
+				}
+				i, next = i+1, next<<1|1
+			}
+		}
+		for ; i < len(want); i++ {
+			if refined[i] != nil {
+				refined[i][r] = uint16(bestS)
+			}
+		}
+	}
+	return refined
 }

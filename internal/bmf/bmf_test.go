@@ -84,7 +84,7 @@ func TestErrorNonIncreasingInDegree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		M := randomMatrix(rng, 128, 8, 0.45)
-		results, err := FactorizeAllDegrees(M, 8, Options{})
+		results, err := FactorizeDegrees(M, 8, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,5 +243,55 @@ func TestPaperFigure1StyleExample(t *testing.T) {
 	}
 	if res.Hamming != 0 {
 		t.Errorf("exact rank-2 matrix not recovered: error %d\nM:\n%v", res.Hamming, M)
+	}
+}
+
+// TestTauMergeOrderMatchesReference merges the taus of each pass in reverse
+// and rotated sweep order, as parallel taus may finish, and checks every
+// degree against the serial reference: which tau is kept must not depend
+// on the order they finish in.
+func TestTauMergeOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ties := 0
+	for trial := 0; trial < 40; trial++ {
+		M := randomMatrix(rng, 1+rng.Intn(128), 2+rng.Intn(9), rng.Float64())
+		opt := Options{SkipRefine: trial%2 == 1}
+		if trial%4 >= 2 {
+			opt.ColWeights = tt.PowerOfTwoWeights(M.Cols)
+		}
+		n := len(DefaultTauSweep)
+		reverse, rotated := make([]int, n), make([]int, n)
+		for i := range reverse {
+			reverse[i] = n - 1 - i
+			rotated[i] = (i + n/2) % n
+		}
+		for _, order := range [][]int{reverse, rotated} {
+			p, err := newAssoPass(M, allDegrees(M.Cols), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := make([]*tauRun, n)
+			for ti := range runs {
+				runs[ti] = p.tau(ti)
+			}
+			for _, ti := range order {
+				p.merge(runs[ti])
+			}
+			for f := 1; f <= M.Cols; f++ {
+				got := p.best[f-1]
+				if err := diffResult(got, factorizeRef(M, f, opt)); err != nil {
+					t.Fatalf("trial %d f=%d merge order %v: %v", trial, f, order, err)
+				}
+				for ti, r := range runs {
+					if ti != p.bestTau[f-1] && r.werr[f-1] == got.WeightedError && r.hamming[f-1] == got.Hamming {
+						ties++
+						break
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two taus tied: the tie rule went unexercised")
 	}
 }

@@ -158,21 +158,27 @@ func FactorizeCached(c Cache, M *tt.Matrix, f int, opt Options) (*Result, error)
 	if c == nil {
 		return Factorize(M, f, opt)
 	}
-	if M == nil || M.Rows == 0 || M.Cols == 0 {
-		return Factorize(M, f, opt) // surface the argument error uncached
+	if err := checkDegree(M, f); err != nil {
+		return nil, err
 	}
-	key := keyFor(familyASSO, M, f, opt)
-	if v, ok := c.Get(key); ok {
-		if res, ok := v.(*Result); ok {
-			return res, nil
-		}
-	}
-	res, err := Factorize(M, f, opt)
+	out, err := cachedDegrees(c, familyASSO, M, f, f, opt, factorizeDegrees)
 	if err != nil {
 		return nil, err
 	}
-	c.Put(key, res)
-	return res, nil
+	return out[f-1], nil
+}
+
+// FactorizeDegreesCached is FactorizeDegrees with the same optional
+// memoization layer: each degree is cached under its own KeyFor key, as
+// FactorizeCached stores it, so the two entry points serve each other.
+func FactorizeDegreesCached(c Cache, M *tt.Matrix, maxF int, opt Options) ([]*Result, error) {
+	if c == nil {
+		return FactorizeDegrees(M, maxF, opt)
+	}
+	if err := checkDegree(M, maxF); err != nil {
+		return nil, err
+	}
+	return cachedDegrees(c, familyASSO, M, 1, maxF, opt, factorizeDegrees)
 }
 
 // FactorizeColumnsCached is FactorizeColumns with the same optional
@@ -181,19 +187,61 @@ func FactorizeColumnsCached(c Cache, M *tt.Matrix, f int, opt Options) (*ColumnR
 	if c == nil {
 		return FactorizeColumns(M, f, opt)
 	}
-	if M == nil || M.Rows == 0 || M.Cols == 0 {
-		return FactorizeColumns(M, f, opt)
+	if err := checkDegree(M, f); err != nil {
+		return nil, err
 	}
-	key := keyFor(familyColumns, M, f, opt)
-	if v, ok := c.Get(key); ok {
-		if res, ok := v.(*ColumnResult); ok {
-			return res, nil
-		}
-	}
-	res, err := FactorizeColumns(M, f, opt)
+	out, err := cachedDegrees(c, familyColumns, M, f, f, opt, factorizeColumnsDegrees)
 	if err != nil {
 		return nil, err
 	}
-	c.Put(key, res)
-	return res, nil
+	return out[f-1], nil
+}
+
+// FactorizeColumnsDegreesCached is FactorizeColumnsDegrees with the same
+// optional memoization layer, keyed per degree by KeyForColumns.
+func FactorizeColumnsDegreesCached(c Cache, M *tt.Matrix, maxF int, opt Options) ([]*ColumnResult, error) {
+	if c == nil {
+		return FactorizeColumnsDegrees(M, maxF, opt)
+	}
+	if err := checkDegree(M, maxF); err != nil {
+		return nil, err
+	}
+	return cachedDegrees(c, familyColumns, M, 1, maxF, opt, factorizeColumnsDegrees)
+}
+
+// cachedDegrees serves degrees lo..hi of one factorization problem: one Get
+// per degree, then a single kernel pass up to the highest missing degree h
+// that computes only the missing ones, each of which is Put under its key.
+// It returns out[f-1] for f in lo..hi; hits are the cached objects.
+func cachedDegrees[R any](c Cache, family byte, M *tt.Matrix, lo, hi int, opt Options,
+	kernel func(*tt.Matrix, []bool, Options) ([]R, error)) ([]R, error) {
+	out := make([]R, hi)
+	keys := make([]Key, hi)
+	want := make([]bool, hi)
+	h := 0
+	for f := lo; f <= hi; f++ {
+		keys[f-1] = keyFor(family, M, f, opt)
+		if v, ok := c.Get(keys[f-1]); ok {
+			if res, ok := v.(R); ok {
+				out[f-1] = res
+				continue
+			}
+		}
+		want[f-1] = true
+		h = f
+	}
+	if h == 0 {
+		return out, nil
+	}
+	fresh, err := kernel(M, want[:h], opt)
+	if err != nil {
+		return nil, err
+	}
+	for f := lo; f <= h; f++ {
+		if want[f-1] {
+			out[f-1] = fresh[f-1]
+			c.Put(keys[f-1], fresh[f-1])
+		}
+	}
+	return out, nil
 }

@@ -1,6 +1,8 @@
 package bmf
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -116,5 +118,133 @@ func TestMemoryCacheConcurrent(t *testing.T) {
 	}
 	if st.Hits+st.Misses != 8*3 {
 		t.Fatalf("hits+misses = %d, want 24", st.Hits+st.Misses)
+	}
+}
+
+// recordingCache is a MemoryCache that logs the keys of every Get and Put.
+type recordingCache struct {
+	*MemoryCache
+	mu         sync.Mutex
+	gets, puts []Key
+}
+
+func (c *recordingCache) Get(k Key) (any, bool) {
+	c.mu.Lock()
+	c.gets = append(c.gets, k)
+	c.mu.Unlock()
+	return c.MemoryCache.Get(k)
+}
+
+func (c *recordingCache) Put(k Key, v any) {
+	c.mu.Lock()
+	c.puts = append(c.puts, k)
+	c.mu.Unlock()
+	c.MemoryCache.Put(k, v)
+}
+
+// TestDegreesCachedServedByPerDegreeEntries warms a cache with per-degree
+// FactorizeCached and FactorizeColumnsCached calls only; the all-degree
+// calls must then be served entirely from it, one Get per degree, returning
+// the very objects the per-degree calls stored.
+func TestDegreesCachedServedByPerDegreeEntries(t *testing.T) {
+	M := testMatrix()
+	opt := Options{ColWeights: tt.PowerOfTwoWeights(M.Cols)}
+	cache := NewMemoryCache()
+	var asso []*Result
+	var cols []*ColumnResult
+	for f := 1; f <= M.Cols; f++ {
+		r, err := FactorizeCached(cache, M, f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := FactorizeColumnsCached(cache, M, f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asso, cols = append(asso, r), append(cols, c)
+	}
+	before := cache.Stats()
+	gotAsso, err := FactorizeDegreesCached(cache, M, M.Cols, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCols, err := FactorizeColumnsDegreesCached(cache, M, M.Cols, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Stats()
+	if after.Hits-before.Hits != uint64(2*M.Cols) || after.Misses != before.Misses || after.Entries != before.Entries {
+		t.Fatalf("stats %+v -> %+v, want %d more hits and nothing else", before, after, 2*M.Cols)
+	}
+	for f := 1; f <= M.Cols; f++ {
+		if gotAsso[f-1] != asso[f-1] || gotCols[f-1] != cols[f-1] {
+			t.Fatalf("f=%d: the all-degree call did not return the per-degree call's cached object", f)
+		}
+	}
+}
+
+// TestDegreesCachedPartialHit warms some degrees of a problem and checks
+// what the all-degree call does with the rest: one Get per degree, one pass
+// up to the highest missing degree that asks for the missing degrees only,
+// a Put for each of them, the cached objects for the hits, and fresh results
+// equal to the uncached ones.
+func TestDegreesCachedPartialHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	M := randomMatrix(rng, 64, 6, 0.5)
+	const maxF = 5
+	for _, tc := range []struct {
+		warm []int
+		want []bool // the kernel's want mask
+	}{
+		{warm: []int{3, 4, 5}, want: []bool{true, true}},
+		{warm: []int{2, 4}, want: []bool{true, false, true, false, true}},
+		{warm: []int{1, 2, 3, 4, 5}, want: nil},
+		{warm: nil, want: []bool{true, true, true, true, true}},
+	} {
+		cache := &recordingCache{MemoryCache: NewMemoryCache()}
+		warmed := map[int]*Result{}
+		for _, f := range tc.warm {
+			r, err := FactorizeCached(cache, M, f, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmed[f] = r
+		}
+		cache.gets, cache.puts = nil, nil
+		var asked []bool
+		spy := func(M *tt.Matrix, want []bool, opt Options) ([]*Result, error) {
+			asked = append([]bool(nil), want...)
+			return factorizeDegrees(M, want, opt)
+		}
+		out, err := cachedDegrees(cache, familyASSO, M, 1, maxF, Options{}, spy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(asked) != fmt.Sprint(tc.want) {
+			t.Fatalf("warm %v: kernel asked for %v, want %v", tc.warm, asked, tc.want)
+		}
+		if len(cache.gets) != maxF {
+			t.Fatalf("warm %v: %d Gets, want %d", tc.warm, len(cache.gets), maxF)
+		}
+		var wantPuts []Key
+		for f := 1; f <= maxF; f++ {
+			if r, ok := warmed[f]; ok {
+				if out[f-1] != r {
+					t.Fatalf("warm %v f=%d: hit did not return the cached object", tc.warm, f)
+				}
+				continue
+			}
+			wantPuts = append(wantPuts, KeyFor(M, f, Options{}))
+			ref, err := Factorize(M, f, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out[f-1].B.Equal(ref.B) || !out[f-1].C.Equal(ref.C) || out[f-1].WeightedError != ref.WeightedError {
+				t.Fatalf("warm %v f=%d: computed result differs from Factorize", tc.warm, f)
+			}
+		}
+		if fmt.Sprint(cache.puts) != fmt.Sprint(wantPuts) {
+			t.Fatalf("warm %v: Put %d keys, want the %d misses", tc.warm, len(cache.puts), len(wantPuts))
+		}
 	}
 }

@@ -29,12 +29,33 @@ import (
 // of the selected columns (found exactly by enumerating all 2^selected
 // combinations, computed incrementally).
 func FactorizeColumns(M *tt.Matrix, f int, opt Options) (*ColumnResult, error) {
-	if M == nil || M.Rows == 0 || M.Cols == 0 {
-		return nil, fmt.Errorf("bmf: empty matrix")
+	if err := checkDegree(M, f); err != nil {
+		return nil, err
 	}
-	if f < 1 || f > M.Cols || f > MaxDegree {
-		return nil, fmt.Errorf("bmf: degree f=%d out of range [1, min(%d, %d)]", f, M.Cols, MaxDegree)
+	out, err := factorizeColumnsDegrees(M, onlyDegree(f), opt)
+	if err != nil {
+		return nil, err
 	}
+	return out[f-1], nil
+}
+
+// FactorizeColumnsDegrees is FactorizeDegrees for the column-basis family:
+// out[f-1] is bit for bit FactorizeColumns(M, f, opt), for every degree from
+// 1 to maxF, from one greedy selection run to maxF.
+func FactorizeColumnsDegrees(M *tt.Matrix, maxF int, opt Options) ([]*ColumnResult, error) {
+	if err := checkDegree(M, maxF); err != nil {
+		return nil, err
+	}
+	return factorizeColumnsDegrees(M, allDegrees(maxF), opt)
+}
+
+// factorizeColumnsDegrees is the one column-selection kernel: out[f-1] =
+// FactorizeColumns(M, f, opt) for every f with want[f-1] set (nil
+// elsewhere), selecting up to len(want) columns once. Round i keeps the
+// first column with the least wiring error given the columns chosen before
+// it, whatever the degree, so degree f's selection is the first f rounds
+// and its wiring C is round f's winning wiring.
+func factorizeColumnsDegrees(M *tt.Matrix, want []bool, opt Options) ([]*ColumnResult, error) {
 	weights := opt.ColWeights
 	if weights == nil {
 		weights = tt.UniformWeights(M.Cols)
@@ -58,28 +79,42 @@ func FactorizeColumns(M *tt.Matrix, f int, opt Options) (*ColumnResult, error) {
 		}
 	}
 
-	selected := make([]int, 0, f)
+	out := make([]*ColumnResult, len(want))
+	selected := make([]int, 0, len(want))
 	inSel := make([]bool, m)
-	for len(selected) < f {
+	var C *tt.Matrix // the wiring of selected
+	for f := 1; f <= len(want); f++ {
 		bestCol, bestErr := -1, math.Inf(1)
+		var bestC *tt.Matrix
 		for cand := 0; cand < m; cand++ {
 			if inSel[cand] {
 				continue
 			}
 			trial := append(append([]int(nil), selected...), cand)
-			e, _ := bestWiring(cols, trial, weights, opt.Semiring, M.Rows)
+			e, wiring := bestWiring(cols, trial, weights, opt.Semiring, M.Rows)
 			if e < bestErr {
-				bestErr, bestCol = e, cand
+				bestErr, bestCol, bestC = e, cand, wiring
 			}
 		}
-		if bestCol == -1 {
-			break
+		if bestCol != -1 {
+			selected = append(selected, bestCol)
+			inSel[bestCol] = true
+			C = bestC
+		} else if C == nil {
+			// No column was ever taken (every trial error compared false):
+			// this and every later degree keep the empty selection.
+			_, C = bestWiring(cols, selected, weights, opt.Semiring, M.Rows)
 		}
-		selected = append(selected, bestCol)
-		inSel[bestCol] = true
+		if want[f-1] {
+			out[f-1] = columnResult(M, selected, C, weights, opt.Semiring)
+		}
 	}
+	return out, nil
+}
 
-	_, C := bestWiring(cols, selected, weights, opt.Semiring, M.Rows)
+// columnResult assembles the column-basis factorization that uses M's
+// columns selected as B and the wiring C, with its errors.
+func columnResult(M *tt.Matrix, selected []int, C *tt.Matrix, weights []float64, sr Semiring) *ColumnResult {
 	B := tt.NewMatrix(M.Rows, len(selected))
 	for i, j := range selected {
 		for r := 0; r < M.Rows; r++ {
@@ -88,7 +123,7 @@ func FactorizeColumns(M *tt.Matrix, f int, opt Options) (*ColumnResult, error) {
 			}
 		}
 	}
-	prod := opt.Semiring.Product(B, C)
+	prod := sr.Product(B, C)
 	return &ColumnResult{
 		Result: Result{
 			B:             B,
@@ -96,8 +131,8 @@ func FactorizeColumns(M *tt.Matrix, f int, opt Options) (*ColumnResult, error) {
 			Hamming:       tt.HammingDistance(M, prod),
 			WeightedError: tt.WeightedHamming(M, prod, weights),
 		},
-		Columns: selected,
-	}, nil
+		Columns: append([]int(nil), selected...),
+	}
 }
 
 // ColumnResult extends Result with the selected column indices

@@ -14,11 +14,11 @@ import (
 var (
 	mFactorize = telemetry.Default().HistogramVec(
 		"blasys_bmf_factorize_seconds",
-		"Wall time of one Boolean matrix factorization, by factor family.",
+		"Wall time of one factorization pass, by factor family: every requested degree of one block (block profiling), or a single degree.",
 		telemetry.DurationBuckets, "family")
 	mTauSweepWidth = telemetry.Default().Histogram(
 		"blasys_bmf_tau_sweep_width",
-		"Number of association thresholds swept per ASSO factorization.",
+		"Number of association thresholds swept per ASSO factorization pass.",
 		telemetry.CountBuckets)
 	mCacheRequests = telemetry.Default().CounterVec(
 		"blasys_bmf_cache_requests_total",

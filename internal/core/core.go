@@ -252,10 +252,12 @@ func Approximate(c *logic.Circuit, spec qor.OutputSpec, cfg Config) (*Result, er
 }
 
 // ApproximateCtx is Approximate with cancellation: the flow checks ctx
-// between blocks during profiling and between candidate evaluations during
-// exploration, returning ctx.Err() as soon as it is observed. Cancellation
-// latency is therefore bounded by one block factorization or one Monte-Carlo
-// comparison, not by the whole run.
+// between blocks and between a block's degrees during profiling and between
+// candidate evaluations during exploration, returning ctx.Err() as soon as
+// it is observed. Cancellation latency is therefore bounded by one block's
+// all-degree factorization pass (every degree of the block factorizes in one
+// call), one degree's synthesis, or one Monte-Carlo comparison, not by the
+// whole run.
 func ApproximateCtx(ctx context.Context, c *logic.Circuit, spec qor.OutputSpec, cfg Config) (*Result, error) {
 	return approximate(ctx, c, spec, cfg, newCandidateEvaluator)
 }
@@ -533,6 +535,20 @@ func profileBlock(ctx context.Context, c *logic.Circuit, b partition.Block, colW
 		ColWeights: colWeights,
 		TauSweep:   cfg.TauSweep,
 	}
+	// One factorization pass computes every degree of the block.
+	var (
+		assoRes []*bmf.Result
+		colRes  []*bmf.ColumnResult
+	)
+	switch cfg.Basis {
+	case BasisASSO:
+		assoRes, err = bmf.FactorizeDegreesCached(cfg.Cache, M, maxF, opts)
+	default: // BasisColumns
+		colRes, err = bmf.FactorizeColumnsDegreesCached(cfg.Cache, M, maxF, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
 	// One memo for all degrees: their B columns keep recurring.
 	sy := synth.New(synth.Options{Exact: cfg.SynthExact})
 	for f := 1; f <= maxF; f++ {
@@ -547,20 +563,14 @@ func profileBlock(ctx context.Context, c *logic.Circuit, b partition.Block, colW
 		)
 		switch cfg.Basis {
 		case BasisASSO:
-			fr, err := bmf.FactorizeCached(cfg.Cache, M, f, opts)
-			if err != nil {
-				return nil, err
-			}
+			fr := assoRes[f-1]
 			blkImpl, err = sy.ApproxBlock(name, fr, cfg.Semiring)
 			if err != nil {
 				return nil, err
 			}
 			hamming, werr = fr.Hamming, fr.WeightedError
 		default: // BasisColumns
-			fr, err := bmf.FactorizeColumnsCached(cfg.Cache, M, f, opts)
-			if err != nil {
-				return nil, err
-			}
+			fr := colRes[f-1]
 			blkImpl, err = synth.ApproxBlockStructural(name, impl, fr, cfg.Semiring)
 			if err != nil {
 				return nil, err

@@ -161,17 +161,6 @@ func (in *Injector) Add(rules ...Rule) *Injector {
 	return in
 }
 
-// SetSchedule replaces the whole schedule (counters reset).
-func (in *Injector) SetSchedule(rules []Rule) {
-	in.mu.Lock()
-	in.rules = in.rules[:0]
-	for _, r := range rules {
-		rc := r
-		in.rules = append(in.rules, &ruleState{Rule: rc})
-	}
-	in.mu.Unlock()
-}
-
 // Clear disarms every rule.
 func (in *Injector) Clear() {
 	in.mu.Lock()

@@ -143,15 +143,6 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-func TestSetScheduleResetsCounters(t *testing.T) {
-	in := New(1).Add(Rule{Op: OpJournalAppend, Times: 1})
-	in.Fire(OpJournalAppend) // consume the single shot
-	in.SetSchedule([]Rule{{Op: OpJournalAppend, Times: 1}})
-	if err := in.Fire(OpJournalAppend); err == nil {
-		t.Fatal("SetSchedule should re-arm with fresh counters")
-	}
-}
-
 func TestParseSchedule(t *testing.T) {
 	rules, err := ParseSchedule("journal.append:after=2,times=3,err=eio;checkpoint.write:err=enospc;cache.write:latency=5ms;journal.sync:torn;probe:prob=0.25")
 	if err != nil {

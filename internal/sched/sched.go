@@ -112,9 +112,6 @@ func Claim(workers, items int, do func(worker, item int) bool) {
 // worker goroutines).
 func Budget() int { return cap(tokens) }
 
-// InUse reports how many tokens are currently held.
-func InUse() int { return len(tokens) }
-
 // Pressure reports the fraction of the machine-wide goroutine budget
 // currently in use, in [0, 1]. Admission control reads it as a slowdown
 // signal: near 1, running jobs are executing below their configured

@@ -90,7 +90,7 @@ func TestClaimEachItemOnce(t *testing.T) {
 			}
 		}
 	}
-	if got := InUse(); got != 0 {
+	if got := len(tokens); got != 0 {
 		t.Fatalf("%d tokens still held after Claim returned", got)
 	}
 }

@@ -143,3 +143,50 @@ func TestDiskCacheFanOutLayout(t *testing.T) {
 		t.Fatalf("fan-out layout: matches=%v err=%v", matches, err)
 	}
 }
+
+// TestTieredCacheServesAllDegreeCalls writes a store's tiered cache the way
+// profiling did before it factorized every degree of a block in one call
+// (one FactorizeCached or FactorizeColumnsCached per degree), then restarts
+// with a fresh memory layer: the all-degree calls must be served from disk,
+// one hit per degree with no miss, with results equal to uncached ones.
+func TestTieredCacheServesAllDegreeCalls(t *testing.T) {
+	s := openTestStore(t)
+	_, _, M := factorizeSample(t, 1)
+	opt := bmf.Options{ColWeights: tt.PowerOfTwoWeights(M.Cols)}
+	maxF := M.Cols - 1
+	old := s.TieredCache()
+	for f := 1; f <= maxF; f++ {
+		if _, err := bmf.FactorizeCached(old, M, f, opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bmf.FactorizeColumnsCached(old, M, f, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tc := s.TieredCache()
+	before := tc.Stats()
+	asso, err := bmf.FactorizeDegreesCached(tc, M, maxF, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := bmf.FactorizeColumnsDegreesCached(tc, M, maxF, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := tc.Stats()
+	if after.Hits-before.Hits != uint64(2*maxF) || after.Misses != before.Misses {
+		t.Fatalf("stats %+v -> %+v, want %d disk hits and no miss", before, after, 2*maxF)
+	}
+	wantAsso, err := bmf.FactorizeDegrees(M, maxF, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCols, err := bmf.FactorizeColumnsDegrees(M, maxF, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(asso, wantAsso) || !reflect.DeepEqual(cols, wantCols) {
+		t.Fatal("the disk tier served different factorizations than an uncached pass")
+	}
+}

@@ -343,17 +343,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the child counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family named name.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.getOrCreate(name, help, "gauge", labels, nil)}
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).(*Gauge) }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
