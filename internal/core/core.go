@@ -998,41 +998,6 @@ func (r *Result) Trace() []TracePoint {
 	return pts
 }
 
-// ParetoFront extracts the non-dominated (area, error) points of the
-// committed trace under the configured metric. Result.Frontier is the
-// superset view: it also covers the sweep candidates that were evaluated
-// but never committed.
-func (r *Result) ParetoFront() []TracePoint {
-	pts := r.Trace()
-	type ae struct {
-		area, err float64
-		pt        TracePoint
-	}
-	list := make([]ae, 0, len(pts))
-	for i, p := range pts {
-		e := 0.0
-		if p.Step >= 0 {
-			e = r.Steps[i-1].Report.Value(r.Config.Metric)
-		}
-		list = append(list, ae{p.NormModelArea, e, p})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].err != list[j].err {
-			return list[i].err < list[j].err
-		}
-		return list[i].area < list[j].area
-	})
-	var front []TracePoint
-	bestArea := math.Inf(1)
-	for _, x := range list {
-		if x.area < bestArea {
-			bestArea = x.area
-			front = append(front, x.pt)
-		}
-	}
-	return front
-}
-
 // FinalMetrics technology-maps the circuit at the given step and returns
 // real (post-mapping) design metrics, alongside a fresh QoR report at the
 // requested sample count.

@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/blasys-go/blasys/internal/blif"
@@ -112,11 +111,8 @@ type Options struct {
 	// untouched; terminal jobs are always restored for serving.
 	Resume bool
 	// Logger sinks the engine's structured warnings (durability, replay,
-	// span journaling). Nil falls back to Logf when set, else slog.Default().
+	// span journaling). Nil means slog.Default().
 	Logger *slog.Logger
-	// Logf is the legacy printf-style warning sink, kept for embedders;
-	// prefer Logger. When only Logf is set it is wrapped as a slog handler.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -137,11 +133,7 @@ func (o Options) withDefaults() Options {
 		o.RetainJobs = 1024
 	}
 	if o.Logger == nil {
-		if o.Logf != nil {
-			o.Logger = telemetry.LogfLogger(o.Logf)
-		} else {
-			o.Logger = slog.Default()
-		}
+		o.Logger = slog.Default()
 	}
 	return o
 }
@@ -190,17 +182,8 @@ type Engine struct {
 	queue chan *Job
 	wg    sync.WaitGroup
 
-	completed, failed, cancelled atomic.Uint64
-	timedOut, deduped, shed      atomic.Uint64
-	restored, resumed            atomic.Uint64
-	running                      atomic.Int64
-	// degraded mirrors the store breaker: 1 while the engine is running
-	// memory-only because the store's circuit breaker is open.
-	degraded atomic.Bool
-
-	// met is this engine's metric registry (see metrics.go). The lifecycle
-	// counters mirror the atomics above; the atomics stay authoritative for
-	// Metrics() so embedders without a scraper lose nothing.
+	// met is this engine's metric registry (see metrics.go); Metrics()
+	// reads its lifecycle counters.
 	met *engineMetrics
 }
 
@@ -231,11 +214,10 @@ func New(opts Options) *Engine {
 		e.order = append(e.order, job.ID)
 		if job.State() == StateQueued {
 			e.attachTimeline(job)
+			e.met.queueDepth.Add(1)
 			e.queue <- job
-			e.resumed.Add(1)
 			e.met.resumed.Inc()
 		} else {
-			e.restored.Add(1)
 			e.met.restored.Inc()
 		}
 	}
@@ -307,7 +289,6 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 			return nil, false, err
 		}
 		if existing := e.dedupLookup(dedupKey); existing != nil {
-			e.deduped.Add(1)
 			e.met.deduped.Inc()
 			return existing, true, nil
 		}
@@ -317,7 +298,6 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 	// waiting — reject now with a retry hint instead.
 	if req.Deadline > 0 {
 		if est := e.EstimateQueueWait(); est > req.Deadline {
-			e.shed.Add(1)
 			e.met.shed.Inc()
 			return nil, false, &OverloadError{EstimatedWait: est, Deadline: req.Deadline}
 		}
@@ -344,9 +324,16 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 	}
 	// Journal the request and queued state BEFORE the job becomes runnable:
 	// once it is on the queue a worker may pick it up (and even finish it)
-	// immediately, and every subsequent persist call needs the journal to
-	// already exist or the job would replay as never-run after a restart.
-	e.persistSubmit(job)
+	// immediately, and every later write needs the journal to already exist
+	// or the job would replay as never-run after a restart.
+	if e.opts.Store != nil && req.Config.Lib != nil {
+		// ConfigRecord cannot journal a library; a restarted run would use
+		// the default one. The ConfigDigest hashes library content, so a
+		// checkpointed resume fails loudly rather than diverging silently —
+		// warn at submit time so the operator knows why.
+		e.opts.Logger.Warn("engine: job uses a custom technology library, which the store cannot journal; the job will not resume across a restart", "job", job.ID)
+	}
+	e.write(job, job.outcome, true)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -359,7 +346,6 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 		if existing := e.dedupLookupLocked(dedupKey); existing != nil {
 			e.mu.Unlock()
 			e.persistDiscard(job)
-			e.deduped.Add(1)
 			e.met.deduped.Inc()
 			return existing, true, nil
 		}
@@ -374,6 +360,7 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 		e.persistDiscard(job)
 		return nil, false, ErrQueueFull
 	}
+	e.met.queueDepth.Add(1)
 	e.queue <- job
 	e.jobs[job.ID] = job
 	e.order = append(e.order, job.ID)
@@ -383,6 +370,13 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 	evicted := e.pruneLocked()
 	e.mu.Unlock()
 	e.persistRemove(evicted)
+	// A failed journal write trips the breaker, and the recovery reconciles
+	// every job it finds; but one failing while a probe is in flight trips
+	// nothing, and that probe's recovery may have run before the job was
+	// listed. Reconcile it here once the store is healthy.
+	if job.dirty() && e.opts.Store.Degraded() == nil {
+		e.apply(job, transition{reconcile: true})
+	}
 	return job, false, nil
 }
 
@@ -391,8 +385,7 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 // deadline). Two submissions with the same digest run the same deterministic
 // walk and produce the same bytes.
 func digestRequest(req Request) (string, error) {
-	rec, err := store.NewRequestRecord(req.Circuit, req.Spec, req.Config,
-		req.SourceBenchmark, req.SourceBLIF, req.Deadline)
+	rec, err := req.record()
 	if err != nil {
 		return "", fmt.Errorf("engine: dedup digest: %w", err)
 	}
@@ -402,6 +395,11 @@ func digestRequest(req Request) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// record is the request's journal form.
+func (r Request) record() (*store.RequestRecord, error) {
+	return store.NewRequestRecord(r.Circuit, r.Spec, r.Config, r.SourceBenchmark, r.SourceBLIF, r.Deadline)
 }
 
 // dedupLookup resolves a content address to an attachable retained job.
@@ -441,8 +439,8 @@ func (e *Engine) dedupLookupLocked(key string) *Job {
 // every running job is executing below its configured parallelism, so
 // dispatch waves drain slower than the per-job history suggests.
 func (e *Engine) EstimateQueueWait() time.Duration {
-	depth := len(e.queue)
-	busy := e.running.Load() >= int64(e.opts.Workers)
+	depth := int(e.met.queueDepth.Value())
+	busy := e.met.running.Value() >= float64(e.opts.Workers)
 	if depth == 0 && !busy {
 		return 0 // a worker is idle: dispatch is immediate
 	}
@@ -498,13 +496,9 @@ func (e *Engine) Cancel(id string) (State, error) {
 	if err != nil {
 		return "", err
 	}
-	if job.cancelQueued() {
-		e.cancelled.Add(1)
-		e.met.cancelled.Inc()
-		job.persistMu.Lock()
-		e.persistState(job, StateCancelled, "cancelled while queued")
-		e.persistClose(job, false)
-		job.persistMu.Unlock()
+	// A job that has left the queue never returns to it, so only a queued
+	// one waits for the transition lock, which a running job's writes hold.
+	if job.State() == StateQueued && e.apply(job, transition{from: StateQueued, to: outcome{state: StateCancelled}}) {
 		return StateCancelled, nil
 	}
 	job.mu.Lock()
@@ -516,9 +510,8 @@ func (e *Engine) Cancel(id string) (State, error) {
 		job.userCancel = true
 	}
 	job.mu.Unlock()
-	if state == StateRunning && cancel != nil {
+	if state == StateRunning {
 		cancel() // the worker will record the cancelled state
-		return StateRunning, nil
 	}
 	return state, nil
 }
@@ -558,18 +551,19 @@ func (e *Engine) pruneLocked() []string {
 
 // Metrics snapshots the service counters.
 func (e *Engine) Metrics() Metrics {
+	m := e.met
 	return Metrics{
-		JobsCompleted: e.completed.Load(),
-		JobsFailed:    e.failed.Load(),
-		JobsCancelled: e.cancelled.Load(),
-		JobsRunning:   e.running.Load(),
-		QueueDepth:    len(e.queue),
-		JobsTimeout:   e.timedOut.Load(),
-		JobsDeduped:   e.deduped.Load(),
-		JobsShed:      e.shed.Load(),
-		Degraded:      e.degraded.Load(),
-		JobsRestored:  e.restored.Load(),
-		JobsResumed:   e.resumed.Load(),
+		JobsCompleted: uint64(m.completed.Value()),
+		JobsFailed:    uint64(m.failed.Value()),
+		JobsCancelled: uint64(m.cancelled.Value()),
+		JobsRunning:   int64(m.running.Value()),
+		QueueDepth:    int(m.queueDepth.Value()),
+		JobsTimeout:   uint64(m.timedOut.Value()),
+		JobsDeduped:   uint64(m.deduped.Value()),
+		JobsShed:      uint64(m.shed.Value()),
+		Degraded:      m.degraded.Value() != 0,
+		JobsRestored:  uint64(m.restored.Value()),
+		JobsResumed:   uint64(m.resumed.Value()),
 		Cache:         e.cache.Stats(),
 	}
 }
@@ -587,10 +581,7 @@ func (e *Engine) Store() *store.Store { return e.opts.Store }
 // made the disk slow. This is the readiness half of the health surface;
 // liveness is just the process answering at all.
 func (e *Engine) Ready() error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.isClosed() {
 		return ErrClosed
 	}
 	if e.opts.Store != nil {
@@ -603,148 +594,47 @@ func (e *Engine) Ready() error {
 }
 
 // onDegraded runs once when the store's circuit breaker opens: the engine
-// flips to memory-only operation (jobs keep running; persists short-circuit
+// flips to memory-only operation (jobs keep running; writes short-circuit
 // and mark their jobs for reconciliation) and live subscribers hear about it.
 func (e *Engine) onDegraded(cause error) {
-	e.degraded.Store(true)
 	e.met.degraded.Set(1)
 	e.opts.Logger.Warn("engine: store degraded, running memory-only", "cause", cause)
-	for _, job := range e.liveJobs() {
-		job.publishDegraded(cause.Error())
+	for _, job := range e.allJobs() {
+		e.apply(job, transition{notice: &Event{Type: EventDegraded, Reason: cause.Error()}})
 	}
 }
 
 // onRecover runs once when a half-open probe closes the breaker again: the
-// engine reconciles — re-journaling from memory everything the degraded
-// window dropped — and then tells subscribers durability is back.
+// engine reconciles — re-journaling from memory, whole, every job a write
+// failed for while the store was degraded, so that a restart serves exactly
+// what this process served — and tells live subscribers durability is back.
+// A job whose re-journaling fails again stays dirty for the next recovery.
 func (e *Engine) onRecover() {
-	e.degraded.Store(false)
 	e.met.degraded.Set(0)
-	reconciled := e.reconcile()
-	e.opts.Logger.Info("engine: store recovered, reconciled", "jobs", reconciled)
-	for _, job := range e.liveJobs() {
-		job.publishRecovered()
+	reconciled := 0
+	for _, job := range e.allJobs() {
+		if e.apply(job, transition{reconcile: true, notice: &Event{Type: EventRecovered}}) {
+			reconciled++
+		}
 	}
+	e.opts.Logger.Info("engine: store recovered, reconciled", "jobs", reconciled)
 }
 
-// liveJobs snapshots every non-terminal job.
-func (e *Engine) liveJobs() []*Job {
+// allJobs snapshots every retained job in submission order.
+func (e *Engine) allJobs() []*Job {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []*Job
+	out := make([]*Job, 0, len(e.order))
 	for _, id := range e.order {
-		if j := e.jobs[id]; j != nil && !j.State().Terminal() {
-			out = append(out, j)
-		}
+		out = append(out, e.jobs[id])
 	}
 	return out
 }
 
-// reconcile re-journals every dirty job from memory after the store
-// recovered: a job that reached a terminal state while degraded gets its
-// request, terminal state, and result (or, for timeouts, exploration state)
-// durably recorded now — restoring the invariant that a restart serves
-// exactly what this process served; a still-running dirty job gets its
-// request, running state, and latest exploration state re-persisted so a
-// crash after recovery resumes it correctly. Returns the number of jobs
-// fully reconciled; a job whose re-journaling fails again stays dirty for
-// the next recovery.
-func (e *Engine) reconcile() int {
-	if e.opts.Store == nil {
-		return 0
-	}
+func (e *Engine) isClosed() bool {
 	e.mu.Lock()
-	jobs := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		jobs = append(jobs, e.jobs[id])
-	}
-	e.mu.Unlock()
-	n := 0
-	for _, job := range jobs {
-		if job == nil || !job.dirty() {
-			continue
-		}
-		if e.reconcileJob(job) {
-			n++
-		}
-	}
-	return n
-}
-
-// reconcileJob re-journals one dirty job from memory; reports success.
-func (e *Engine) reconcileJob(job *Job) bool {
-	job.persistMu.Lock()
-	defer job.persistMu.Unlock()
-	warn := func(what string, err error) bool {
-		e.opts.Logger.Warn("engine: reconcile "+what+" failed; job stays dirty",
-			"job", job.ID, "err", err)
-		return false
-	}
-	jnl := job.journal()
-	if jnl == nil {
-		fresh, err := e.opts.Store.Journal(job.ID)
-		if err != nil {
-			return warn("journal open", err)
-		}
-		jnl = fresh
-		job.mu.Lock()
-		job.jnl = jnl
-		job.mu.Unlock()
-	}
-	// Re-journal the request unconditionally: replay folds records last-wins,
-	// so a duplicate is harmless, while a missing request record (journal
-	// open failed while degraded) would make the job vanish on restart.
-	req, err := store.NewRequestRecord(job.req.Circuit, job.req.Spec, job.req.Config,
-		job.req.SourceBenchmark, job.req.SourceBLIF, job.req.Deadline)
-	if err != nil {
-		return warn("request encode", err)
-	}
-	if err := jnl.Request(req); err != nil {
-		return warn("request", err)
-	}
-	state := job.State()
-	switch state {
-	case StateDone:
-		job.mu.Lock()
-		res := job.result
-		hits, misses := job.cacheHits, job.cacheMisses
-		job.mu.Unlock()
-		if res != nil {
-			rec, err := store.NewResultRecord(res)
-			if err != nil {
-				return warn("result encode", err)
-			}
-			if err := jnl.Result(rec, hits, misses); err != nil {
-				return warn("result", err)
-			}
-		}
-		if err := jnl.State(string(StateDone), ""); err != nil {
-			return warn("state", err)
-		}
-	case StateTimeout:
-		if err := rewriteCheckpoint(job, jnl); err != nil {
-			return warn("checkpoint", err)
-		}
-		if err := jnl.State(string(StateTimeout), job.errString()); err != nil {
-			return warn("state", err)
-		}
-	case StateFailed, StateCancelled:
-		if err := jnl.State(string(state), job.errString()); err != nil {
-			return warn("state", err)
-		}
-	default: // queued or running: durable resume needs the latest state
-		if err := jnl.State(string(state), ""); err != nil {
-			return warn("state", err)
-		}
-		if err := rewriteCheckpoint(job, jnl); err != nil {
-			return warn("checkpoint", err)
-		}
-	}
-	job.clearDirty()
-	if state.Terminal() {
-		e.persistClose(job, state == StateTimeout)
-	}
-	return true
+	defer e.mu.Unlock()
+	return e.closed
 }
 
 // Close stops accepting submissions, cancels running jobs, and waits for the
@@ -797,13 +687,10 @@ func (e *Engine) attachTimeline(job *Job) {
 func (e *Engine) run(job *Job) {
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	defer cancel()
-	if !job.markRunning(cancel) {
+	if !e.apply(job, transition{from: StateQueued, to: outcome{state: StateRunning}, cancel: cancel}) {
 		return // cancelled while queued
 	}
-	e.running.Add(1)
 	job.queueSpan.End()
-	e.met.queueWait.Observe(job.queueWait().Seconds())
-	e.persistState(job, StateRunning, "")
 
 	// The deadline bounds run time, not queue wait: the budget starts now.
 	// A resumed job gets a fresh budget for its remaining work.
@@ -826,10 +713,7 @@ func (e *Engine) run(job *Job) {
 	// a timed-out job serves its best-so-far frontier from, and what
 	// reconciliation re-persists after a degraded window.
 	cfg.Checkpoint = func(st core.ExplorerState) {
-		job.setCheckpoint(&st)
-		if e.persistCheckpoint(job, &st) {
-			job.publishCheckpoint(st.Step)
-		}
+		e.apply(job, transition{cp: &st})
 	}
 	if cfg.Parallelism <= 0 && e.opts.JobParallelism > 0 {
 		cfg.Parallelism = e.opts.JobParallelism
@@ -839,64 +723,36 @@ func (e *Engine) run(job *Job) {
 
 	runStart := time.Now()
 	res, err := core.ApproximateCtx(runCtx, job.req.Circuit, job.req.Spec, cfg)
-	// The worker is free from here on. Stop counting it before any
-	// job.finish releases Job.Wait: a client that waits for this job and at
-	// once submits another must not be shed by EstimateQueueWait on account
-	// of a worker that is about to be idle.
-	e.running.Add(-1)
 	e.met.runSeconds.Observe(time.Since(runStart).Seconds())
-	// Close the spans before the terminal bookkeeping: ending them journals
+	// Close the spans before the terminal transition: ending them journals
 	// their records (the journal is still open here) and streams the stage
 	// events while subscribers are still attached.
 	runSpan.End()
 	job.span.End()
-	hits, misses := cc.hits.Load(), cc.misses.Load()
-	job.persistMu.Lock()
-	defer job.persistMu.Unlock()
+	out := outcome{err: err, cacheHits: cc.hits.Load(), cacheMisses: cc.misses.Load()}
+	shutdown := false
 	switch {
 	case err == nil:
-		e.completed.Add(1)
-		e.met.completed.Inc()
-		e.persistResult(job, res, hits, misses)
-		job.finish(StateDone, res, nil, hits, misses)
-		e.persistClose(job, false)
+		out.state, out.result = StateDone, res
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Cancel-vs-deadline determinism: both signals can land in the same
 		// exploration step, and which ctx error the flow observes first is a
 		// race — so the terminal state must not depend on it. An explicit
 		// user cancel wins unconditionally (the flag is set before the
 		// cancellation is signalled); otherwise an expired deadline is a
-		// timeout; what remains is an engine-shutdown cancellation.
+		// timeout; what remains is an engine-shutdown cancellation, which
+		// the journal does not record.
 		switch {
 		case job.wasUserCancelled():
-			e.cancelled.Add(1)
-			e.met.cancelled.Inc()
-			job.finish(StateCancelled, nil, context.Canceled, hits, misses)
-			// Explicit cancellation is terminal on disk too. An engine
-			// shutdown leaves the journal at "running" (with the latest
-			// checkpoint beside it), so a restart resumes the job instead.
-			e.persistState(job, StateCancelled, context.Canceled.Error())
-			e.persistClose(job, false)
+			out.state, out.err = StateCancelled, context.Canceled
 		case errors.Is(err, context.DeadlineExceeded):
-			e.timedOut.Add(1)
-			e.met.timedOut.Inc()
-			terr := fmt.Errorf("engine: deadline %s exceeded: %w", job.req.Deadline, context.DeadlineExceeded)
-			job.finish(StateTimeout, nil, terr, hits, misses)
-			// A timeout is terminal but partial: journal the state, keep the
-			// checkpoint on disk — it is the durable record of the
-			// best-so-far frontier a restart serves.
-			e.persistState(job, StateTimeout, terr.Error())
-			e.persistClose(job, true)
+			out.state = StateTimeout
+			out.err = fmt.Errorf("engine: deadline %s exceeded: %w", job.req.Deadline, context.DeadlineExceeded)
 		default:
-			e.cancelled.Add(1)
-			e.met.cancelled.Inc()
-			job.finish(StateCancelled, nil, err, hits, misses)
+			out.state, shutdown = StateCancelled, true
 		}
 	default:
-		e.failed.Add(1)
-		e.met.failed.Inc()
-		job.finish(StateFailed, nil, err, hits, misses)
-		e.persistState(job, StateFailed, err.Error())
-		e.persistClose(job, false)
+		out.state = StateFailed
 	}
+	e.apply(job, transition{to: out, keepJournal: shutdown})
 }

@@ -15,7 +15,9 @@ const (
 	// EventCheckpoint announces that the exploration state through the given
 	// step is durable: its step-log record was appended and fsynced. It is
 	// emitted only on engines with a store, and only after a write that
-	// landed — a step whose append failed (degraded store) announces none.
+	// landed — a step whose append failed (degraded store) announces none,
+	// and neither does a job marked for reconciliation, whose journal may
+	// lack what a restart needs to resume it.
 	EventCheckpoint = "checkpoint"
 	// EventStage carries one completed timeline span (queue, run, profile,
 	// explore, step), summarizing where the job just spent its time.
@@ -54,8 +56,10 @@ const eventBuffer = 256
 // Subscribe returns a channel replaying the job's history so far (current
 // state, every recorded trace point) and then streaming live events until
 // the job reaches a terminal state, at which point the channel is closed.
-// The returned cancel function detaches the subscriber early; it is safe to
-// call after the channel closed.
+// As with Job.Wait, a terminal state it reports is already durable (or the
+// job is marked for reconciliation), and so is the step of every checkpoint
+// event. The returned cancel function detaches the subscriber early; it is
+// safe to call after the channel closed.
 func (j *Job) Subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -147,27 +151,6 @@ func (j *Job) closeSubsLocked() {
 		delete(j.subs, id)
 		close(ch)
 	}
-}
-
-// publishCheckpoint announces a durable checkpoint through the given step.
-func (j *Job) publishCheckpoint(step int) {
-	j.mu.Lock()
-	j.publishLocked(Event{Type: EventCheckpoint, Step: step})
-	j.mu.Unlock()
-}
-
-// publishDegraded announces degraded-mode entry to this job's subscribers.
-func (j *Job) publishDegraded(reason string) {
-	j.mu.Lock()
-	j.publishLocked(Event{Type: EventDegraded, Reason: reason})
-	j.mu.Unlock()
-}
-
-// publishRecovered announces degraded-mode exit (post-reconciliation).
-func (j *Job) publishRecovered() {
-	j.mu.Lock()
-	j.publishLocked(Event{Type: EventRecovered})
-	j.mu.Unlock()
 }
 
 // publishStage streams one completed timeline span. Called from the

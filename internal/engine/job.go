@@ -72,14 +72,13 @@ type Request struct {
 type Job struct {
 	ID string
 
-	mu       sync.Mutex
-	state    State
+	mu sync.Mutex
+	// outcome is the job's visible state; Engine.apply alone changes it.
+	outcome
 	created  time.Time
 	started  time.Time
 	finished time.Time
 	trace    []core.TracePoint
-	result   *core.Result
-	err      error
 	cancel   context.CancelFunc
 
 	// userCancel marks an explicit Cancel of a running job, distinguishing
@@ -113,14 +112,14 @@ type Job struct {
 	// checkpoint's position and advances only after a successful append,
 	// so a failed append just makes the next record longer.
 	durable store.Position
-	// persistMu serializes a job's terminal bookkeeping on the store (the
-	// worker's, or Cancel's for a queued job) with its reconciliation.
-	// Without it a reconcile could pick up the journal the terminal path
-	// was closing, fail to append to it, and leave the job dirty with no
-	// further recovery to retry it.
-	persistMu sync.Mutex
-	// persistDirty marks that at least one persist call failed (degraded
-	// store or plain I/O error) so reconciliation must re-journal this job
+	// transMu serializes the job's transitions (see Engine.apply), the
+	// reconciliation of its records included. It makes queued->running and
+	// a queued cancel one check-and-set, and keeps a reconcile from writing
+	// the state a transition is replacing, or appending to the journal it
+	// is closing. Disk I/O happens under transMu, never under mu.
+	transMu sync.Mutex
+	// persistDirty marks that a write of the job's records failed (degraded
+	// store or plain I/O error), so reconciliation must re-journal the job
 	// from memory once the store recovers.
 	persistDirty bool
 	// dedupKey is the job's content address when submission dedup is on;
@@ -138,8 +137,24 @@ type Job struct {
 	// restoredSpans carries a requeued job's prior-run spans from the store
 	// until the engine attaches its timeline.
 	restoredSpans []telemetry.SpanRecord
+}
 
+// outcome is a job's state and, once it is terminal, how it ended: the
+// result of a done job, the error of a failed, cancelled or timed-out one,
+// and the run's factorization cache hits and misses.
+type outcome struct {
+	state                  State
+	result                 *core.Result
+	err                    error
 	cacheHits, cacheMisses uint64
+}
+
+// errText renders the outcome's error for the journal ("" when none).
+func (o outcome) errText() string {
+	if o.err == nil {
+		return ""
+	}
+	return o.err.Error()
 }
 
 // restoredResult is a done job's persisted outcome, rebuilt from the store:
@@ -158,48 +173,11 @@ func newJob(req Request) (*Job, error) {
 	}
 	return &Job{
 		ID:      "job-" + hex.EncodeToString(b[:]),
-		state:   StateQueued,
+		outcome: outcome{state: StateQueued},
 		created: time.Now(),
 		req:     req,
 		done:    make(chan struct{}),
 	}, nil
-}
-
-// markRunning flips a queued job to running; it returns false when the job
-// was cancelled while still in the queue.
-func (j *Job) markRunning(cancel context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	j.publishLocked(Event{Type: EventState, State: StateRunning})
-	return true
-}
-
-// finish records the terminal outcome.
-func (j *Job) finish(state State, res *core.Result, err error, hits, misses uint64) {
-	j.mu.Lock()
-	j.state = state
-	j.result = res
-	j.err = err
-	j.finished = time.Now()
-	j.cacheHits, j.cacheMisses = hits, misses
-	j.publishTerminalLocked(j.stateEventLocked())
-	j.closeSubsLocked()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// queueWait returns how long the job sat in the queue before a worker picked
-// it up (valid once running).
-func (j *Job) queueWait() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started.Sub(j.created)
 }
 
 // Timeline snapshots the job's stage spans (completed first, then open ones
@@ -215,14 +193,6 @@ func (j *Job) wasUserCancelled() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.userCancel
-}
-
-// setCheckpoint records the run's latest exploration snapshot.
-func (j *Job) setCheckpoint(st *core.ExplorerState) {
-	j.mu.Lock()
-	j.lastCheckpoint = st
-	j.cpFrontier = nil
-	j.mu.Unlock()
 }
 
 // checkpoint returns the latest recorded exploration snapshot.
@@ -271,32 +241,6 @@ func (j *Job) clearDirty() {
 	j.mu.Unlock()
 }
 
-// errString renders the job's terminal error for the journal ("" when none).
-func (j *Job) errString() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err == nil {
-		return ""
-	}
-	return j.err.Error()
-}
-
-// cancelQueued marks a still-queued job cancelled; the worker that later
-// dequeues it will skip it. Returns false if the job already left the queue.
-func (j *Job) cancelQueued() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateCancelled
-	j.finished = time.Now()
-	j.publishTerminalLocked(j.stateEventLocked())
-	j.closeSubsLocked()
-	close(j.done)
-	return true
-}
-
 func (j *Job) appendTrace(p core.TracePoint) {
 	j.mu.Lock()
 	j.trace = append(j.trace, p)
@@ -305,7 +249,11 @@ func (j *Job) appendTrace(p core.TracePoint) {
 	j.mu.Unlock()
 }
 
-// Wait blocks until the job reaches a terminal state or ctx expires.
+// Wait blocks until the job reaches a terminal state or ctx expires. The
+// terminal state is durable by the time Wait returns: its record has landed
+// in the store, or the job is marked for reconciliation because the store
+// is degraded (an engine shutdown is the one terminal state the store never
+// records: the journal stays at running, so that a restart resumes the job).
 func (j *Job) Wait(ctx context.Context) error {
 	select {
 	case <-j.done:

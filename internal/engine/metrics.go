@@ -29,6 +29,10 @@ type engineMetrics struct {
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 
+	// running and queueDepth move with each job's transitions (a job
+	// cancelled in the queue stops counting at once, though the queue
+	// channel holds it until a worker skips it); cacheEntries is set at
+	// scrape time (syncGauges).
 	running      *telemetry.Gauge
 	queueDepth   *telemetry.Gauge
 	cacheEntries *telemetry.Gauge
@@ -84,8 +88,5 @@ func (e *Engine) Registry() *telemetry.Registry { return e.met.reg }
 
 // syncGauges refreshes the scrape-time gauges from the live engine state.
 func (e *Engine) syncGauges() {
-	m := e.Metrics()
-	e.met.running.Set(float64(m.JobsRunning))
-	e.met.queueDepth.Set(float64(m.QueueDepth))
-	e.met.cacheEntries.Set(float64(m.Cache.Entries))
+	e.met.cacheEntries.Set(float64(e.cache.Stats().Entries))
 }

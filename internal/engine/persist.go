@@ -8,60 +8,21 @@ import (
 
 // This file is the engine's durability glue: journaling job facts into the
 // store as they happen and replaying the store into live jobs at startup.
-// Every persist helper is a no-op without a store and degrades to a logged
-// warning on I/O errors — the in-memory service keeps working when the disk
+// Every writer is a no-op without a store and degrades to a logged warning
+// on I/O errors — the in-memory service keeps working when the disk
 // misbehaves; durability is best-effort, correctness is not. Every failed
-// persist marks its job dirty, which is the reconciliation work-list: once
-// the store's circuit breaker closes again, the engine re-journals dirty
-// jobs from memory (see Engine.reconcile).
+// write of a job's state or step marks the job dirty, which is the
+// reconciliation work-list: once the store's circuit breaker closes again,
+// the engine re-journals dirty jobs from memory (see Engine.onRecover).
 
-// persistSubmit journals a new job's request and queued state.
-func (e *Engine) persistSubmit(job *Job) {
-	if e.opts.Store == nil {
-		return
-	}
-	if job.req.Config.Lib != nil {
-		// ConfigRecord cannot journal a library; a restarted run would use
-		// the default one. The ConfigDigest hashes library content, so a
-		// checkpointed resume fails loudly rather than diverging silently —
-		// warn at submit time so the operator knows why.
-		e.opts.Logger.Warn("engine: job uses a custom technology library, which the store cannot journal; the job will not resume across a restart", "job", job.ID)
-	}
-	req, err := store.NewRequestRecord(job.req.Circuit, job.req.Spec, job.req.Config,
-		job.req.SourceBenchmark, job.req.SourceBLIF, job.req.Deadline)
-	if err != nil {
-		e.opts.Logger.Warn("engine: journal request failed; job will not survive a restart", "job", job.ID, "err", err)
-		return
-	}
-	jnl, err := e.opts.Store.Journal(job.ID)
-	if err != nil {
-		job.markDirty()
-		e.opts.Logger.Warn("engine: open journal failed; job will not survive a restart", "job", job.ID, "err", err)
-		return
-	}
-	job.mu.Lock()
-	job.jnl = jnl
-	job.mu.Unlock()
-	if err := jnl.Request(req); err != nil {
-		job.markDirty()
-		e.opts.Logger.Warn("engine: journal request", "job", job.ID, "err", err)
-	}
-	if err := jnl.State(string(StateQueued), ""); err != nil {
-		job.markDirty()
-		e.opts.Logger.Warn("engine: journal state", "job", job.ID, "err", err)
-	}
-}
-
-// persistDiscard undoes persistSubmit for a submission rejected after its
-// request was journaled (queue full, engine closed): without this the
-// rejected job would replay as queued on the next restart.
+// persistDiscard undoes a submission's journaling when the submission is
+// rejected after its request was journaled (queue full, engine closed):
+// without this the rejected job would replay as queued on the next restart.
 func (e *Engine) persistDiscard(job *Job) {
 	if e.opts.Store == nil {
 		return
 	}
-	job.mu.Lock()
-	job.jnl = nil
-	job.mu.Unlock()
+	job.setJournal(nil)
 	if err := e.opts.Store.Remove(job.ID); err != nil {
 		e.opts.Logger.Warn("engine: discard rejected submission", "job", job.ID, "err", err)
 	}
@@ -86,16 +47,10 @@ func (j *Job) journal() *store.Journal {
 	return j.jnl
 }
 
-// persistState journals a lifecycle transition.
-func (e *Engine) persistState(job *Job, state State, jobErr string) {
-	jnl := job.journal()
-	if jnl == nil {
-		return
-	}
-	if err := jnl.State(string(state), jobErr); err != nil {
-		job.markDirty()
-		e.opts.Logger.Warn("engine: journal state", "job", job.ID, "state", string(state), "err", err)
-	}
+func (j *Job) setJournal(jnl *store.Journal) {
+	j.mu.Lock()
+	j.jnl = jnl
+	j.mu.Unlock()
 }
 
 // persistTrace journals one committed trace point. A dropped trace line does
@@ -111,10 +66,78 @@ func (e *Engine) persistTrace(job *Job, p core.TracePoint) {
 	}
 }
 
-// persistCheckpoint makes the job's exploration state durable with one
-// fsynced step-log record holding what st adds past the last durable
-// checkpoint, and reports whether it did.
-func (e *Engine) persistCheckpoint(job *Job, st *core.ExplorerState) bool {
+// write is the one writer of the records that make a job's state o
+// durable. A whole write (a new submission, or reconciliation after a
+// degraded window) serves a journal that may lack every earlier record: it
+// opens the journal if the job has none and writes the request first and,
+// for a queued, running or timed-out job, its whole exploration state as
+// one step-log record based at step 0. Then come a done job's result and
+// the state record. A terminal job's journal is then closed and its step
+// log dropped; a timed-out job keeps the step log as the durable record of
+// its best-so-far frontier, and a dirty job keeps it as its resume point
+// until reconciliation lands its terminal record. A failed write marks the
+// job dirty; a whole write that lands clears the mark. Reports whether the
+// records landed. Callers hold job.transMu, or own a job not yet published.
+func (e *Engine) write(job *Job, o outcome, whole bool) bool {
+	if e.opts.Store == nil || (job.journal() == nil && !whole) {
+		return false // memory-only, or a job left dirty without a journal
+	}
+	err := e.writeRecords(job, o, whole)
+	switch {
+	case err != nil:
+		job.markDirty()
+		e.opts.Logger.Warn("engine: journal write failed; job is dirty until the store recovers",
+			"job", job.ID, "state", string(o.state), "err", err)
+	case whole:
+		job.clearDirty()
+	}
+	if o.state.Terminal() {
+		e.closeJournal(job, o.state == StateTimeout)
+	}
+	return err == nil
+}
+
+func (e *Engine) writeRecords(job *Job, o outcome, whole bool) error {
+	jnl := job.journal()
+	if whole {
+		if jnl == nil {
+			var err error
+			if jnl, err = e.opts.Store.Journal(job.ID); err != nil {
+				return err
+			}
+			job.setJournal(jnl)
+		}
+		req, err := job.req.record()
+		if err != nil {
+			return err
+		}
+		if err := jnl.Request(req); err != nil {
+			return err
+		}
+		if cp := job.checkpoint(); cp != nil && (!o.state.Terminal() || o.state == StateTimeout) {
+			if err := jnl.Checkpoint(cp, store.Position{}); err != nil {
+				return err
+			}
+			job.markDurable(store.PositionOf(cp))
+		}
+	}
+	if o.state == StateDone && o.result != nil {
+		rec, err := store.NewResultRecord(o.result)
+		if err != nil {
+			return err
+		}
+		if err := jnl.Result(rec, o.cacheHits, o.cacheMisses); err != nil {
+			return err
+		}
+	}
+	return jnl.State(string(o.state), o.errText())
+}
+
+// writeStep makes a committed step durable with one fsynced step-log record
+// holding what st adds past the job's last durable checkpoint, and reports
+// whether it landed; a failed append marks the job dirty. Callers hold
+// job.transMu.
+func (e *Engine) writeStep(job *Job, st *core.ExplorerState) bool {
 	jnl := job.journal()
 	if jnl == nil {
 		return false
@@ -128,63 +151,18 @@ func (e *Engine) persistCheckpoint(job *Job, st *core.ExplorerState) bool {
 	return true
 }
 
-// rewriteCheckpoint appends the job's latest exploration state whole, based
-// at step 0: reconciliation cannot tell what the step log kept through the
-// degraded window.
-func rewriteCheckpoint(job *Job, jnl *store.Journal) error {
-	cp := job.checkpoint()
-	if cp == nil {
-		return nil
-	}
-	if err := jnl.Checkpoint(cp, store.Position{}); err != nil {
-		return err
-	}
-	job.markDurable(store.PositionOf(cp))
-	return nil
-}
-
-// persistResult journals a finished job's result and done state.
-func (e *Engine) persistResult(job *Job, res *core.Result, hits, misses uint64) {
+// closeJournal closes a terminal job's journal and step log, releasing their
+// descriptors, and drops the step log unless keepSteps or the job is dirty.
+func (e *Engine) closeJournal(job *Job, keepSteps bool) {
 	jnl := job.journal()
 	if jnl == nil {
 		return
 	}
-	rec, err := store.NewResultRecord(res)
-	if err != nil {
-		e.opts.Logger.Warn("engine: encode result failed; result will not survive a restart", "job", job.ID, "err", err)
-		return
-	}
-	if err := jnl.Result(rec, hits, misses); err != nil {
-		job.markDirty()
-		e.opts.Logger.Warn("engine: journal result", "job", job.ID, "err", err)
-	}
-	if err := jnl.State(string(StateDone), ""); err != nil {
-		job.markDirty()
-		e.opts.Logger.Warn("engine: journal state", "job", job.ID, "state", string(StateDone), "err", err)
-	}
-}
-
-// persistClose closes a terminal job's journal and step log, releasing
-// their descriptors, and — unless keepCheckpoint — drops the now-superseded
-// exploration state (every terminal path ends here; the journal's terminal
-// record is what survives). Timed-out jobs keep their step log: it is the
-// durable record of the best-so-far frontier the deadline bought, and
-// restarts serve the frontier from it. A dirty job keeps it too: its
-// terminal record may not be on disk, so the step log stays the durable
-// resume point until reconciliation lands the record and closes the job
-// again.
-func (e *Engine) persistClose(job *Job, keepCheckpoint bool) {
-	jnl := job.journal()
-	if jnl == nil {
-		return
-	}
-	job.mu.Lock()
-	job.jnl = nil
-	job.mu.Unlock()
+	job.setJournal(nil)
 	if err := jnl.Close(); err != nil {
 		e.opts.Logger.Warn("engine: close journal", "job", job.ID, "err", err)
 	}
-	if keepCheckpoint || job.dirty() {
+	if keepSteps || job.dirty() {
 		return
 	}
 	if err := e.opts.Store.RemoveCheckpoint(job.ID); err != nil {
@@ -227,15 +205,17 @@ func replayStore(opts Options) (jobs []*Job, requeueCount int) {
 // (for done jobs) the persisted result record.
 func restoreTerminalJob(rec *store.JobRecord) *Job {
 	j := &Job{
-		ID:       rec.ID,
-		state:    State(rec.State),
+		ID: rec.ID,
+		outcome: outcome{
+			state:     State(rec.State),
+			cacheHits: rec.CacheHits, cacheMisses: rec.CacheMisses,
+		},
 		created:  rec.Created,
 		started:  rec.Started,
 		finished: rec.Finished,
 		trace:    rec.Trace,
 		done:     make(chan struct{}),
 	}
-	j.cacheHits, j.cacheMisses = rec.CacheHits, rec.CacheMisses
 	if rec.Error != "" {
 		j.err = errRestored(rec.Error)
 	}
@@ -273,7 +253,7 @@ func requeueJob(opts Options, rec *store.JobRecord) (*Job, error) {
 	}
 	j := &Job{
 		ID:      rec.ID,
-		state:   StateQueued,
+		outcome: outcome{state: StateQueued},
 		created: rec.Created,
 		req: Request{
 			Circuit:         circ,

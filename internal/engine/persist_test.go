@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -404,11 +405,9 @@ func TestRestartSkipsCorruptJournalRecordsButServesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var warnings []string
+	var warnings strings.Builder
 	st2 := openStore(t, dir)
-	st2.SetLogger(func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	})
+	st2.SetSlogger(slog.New(slog.NewTextHandler(&warnings, nil)))
 	e2 := New(Options{Workers: 1, Store: st2, Resume: true})
 	defer e2.Close()
 	j2, err := e2.Get(j1.ID)
@@ -421,14 +420,8 @@ func TestRestartSkipsCorruptJournalRecordsButServesJob(t *testing.T) {
 	if got := blifBytes(t, j2); !bytes.Equal(wantBLIF, got) {
 		t.Fatal("result netlist diverged after corrupt-line replay")
 	}
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "skipping record") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("corrupt line skipped without a warning; warnings = %q", warnings)
+	if !strings.Contains(warnings.String(), "skipping record") {
+		t.Fatalf("corrupt line skipped without a warning; warnings = %q", warnings.String())
 	}
 }
 

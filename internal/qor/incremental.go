@@ -320,9 +320,6 @@ func NewIncrementalComparer(ref *logic.Circuit, spec OutputSpec, blocks []partit
 // Samples returns the effective sample count (see Evaluator.Samples).
 func (ic *IncrementalComparer) Samples() int { return ic.eval.samples }
 
-// Reference returns the accurate circuit.
-func (ic *IncrementalComparer) Reference() *logic.Circuit { return ic.eval.ref }
-
 // CommittedReport returns the report of the committed circuit.
 func (ic *IncrementalComparer) CommittedReport() Report { return ic.committedRep }
 

@@ -298,9 +298,6 @@ func (e *Evaluator) InputWords(b int) []uint64 { return e.inWords[b] }
 // primary output). The slice aliases internal state; do not modify it.
 func (e *Evaluator) ReferenceWords(b int) []uint64 { return e.refOut[b] }
 
-// Reference returns the accurate circuit.
-func (e *Evaluator) Reference() *logic.Circuit { return e.ref }
-
 // Spec returns the output interpretation.
 func (e *Evaluator) Spec() OutputSpec { return e.spec }
 

@@ -112,14 +112,6 @@ func (s *Store) injector() *faults.Injector { return s.flt.Load() }
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetLogger redirects the store's warning messages through a printf-style
-// sink. Kept for compatibility; SetSlogger is the structured entry point.
-func (s *Store) SetLogger(logf func(format string, args ...any)) {
-	if logf != nil {
-		s.log = telemetry.LogfLogger(logf)
-	}
-}
-
 // SetSlogger redirects the store's warning messages to a structured logger
 // (default slog.Default()).
 func (s *Store) SetSlogger(l *slog.Logger) {

@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"strings"
 )
 
@@ -35,63 +33,4 @@ func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, erro
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
 	return nil, fmt.Errorf("unknown log format %q (want text|json)", format)
-}
-
-// LogfLogger wraps a printf-style sink as a *slog.Logger, for callers that
-// still configure the legacy Options.Logf hook. Records render as
-// "msg key=value ..." on one line.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	group string
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	write := func(a slog.Attr) {
-		if a.Equal(slog.Attr{}) {
-			return
-		}
-		key := a.Key
-		if h.group != "" {
-			key = h.group + "." + key
-		}
-		fmt.Fprintf(&b, " %s=%v", key, a.Value.Resolve().Any())
-	}
-	attrs := make([]slog.Attr, len(h.attrs))
-	copy(attrs, h.attrs)
-	r.Attrs(func(a slog.Attr) bool {
-		attrs = append(attrs, a)
-		return true
-	})
-	// Stable key order keeps the legacy line format deterministic.
-	sort.SliceStable(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
-	for _, a := range attrs {
-		write(a)
-	}
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	na := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	na = append(na, h.attrs...)
-	na = append(na, attrs...)
-	h.attrs = na
-	return h
-}
-
-func (h logfHandler) WithGroup(name string) slog.Handler {
-	if h.group != "" {
-		name = h.group + "." + name
-	}
-	h.group = name
-	return h
 }

@@ -222,22 +222,6 @@ func TestTimelineBoundAndImport(t *testing.T) {
 	}
 }
 
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	lg := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	lg.With("job", "job-1").Info("stage done", "stage", "run", "ms", 12)
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1", len(lines))
-	}
-	for _, want := range []string{"stage done", "job=job-1", "stage=run", "ms=12"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("line %q missing %q", lines[0], want)
-		}
-	}
-}
-
 func TestParseLevelAndNewLogger(t *testing.T) {
 	for s, want := range map[string]slog.Level{
 		"debug": slog.LevelDebug, "info": slog.LevelInfo,
