@@ -200,8 +200,8 @@ func (st *ExplorerState) Validate() error {
 
 // TracePoints renders the committed trajectory as trade-off trace points,
 // sharing Result.Trace's per-step rendering (without the accurate Step -1
-// row). A service resuming a job uses this to rebuild the progress trace the
-// original process had streamed before it died.
+// row). A service derives a job's progress trace from its latest state with
+// this, so the trace it serves is the record of the walk it keeps.
 func (st *ExplorerState) TracePoints() []TracePoint {
 	pts := make([]TracePoint, 0, len(st.Steps))
 	for i, s := range st.Steps {

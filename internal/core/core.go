@@ -93,13 +93,13 @@ type Config struct {
 	// Sequence, when non-nil, evaluates QoR with accumulator feedback
 	// (multi-cycle error, used for MAC/SAD).
 	Sequence *qor.Sequence
-	// Lazy switches the exploration to lazy greedy: candidate errors are
-	// cached and only the currently-smallest stale estimate is
-	// re-evaluated. Because decrementing one block never decreases another
-	// candidate's error (errors are monotone in the approximation level),
-	// the committed block is the same argmin the exhaustive sweep finds in
-	// the common case, at a fraction of the simulations. Default off
-	// (paper-literal exhaustive re-evaluation).
+	// Lazy switches the exploration to lazy greedy, a faster heuristic than
+	// Algorithm 1: candidate errors are cached and only the smallest stale
+	// estimates are re-evaluated, at a fraction of the simulations. Its walk
+	// can differ from the exhaustive sweep's (on Mult8 and SAD at 2^13
+	// samples, with equal best areas; at paper defaults lazy's best area is
+	// worse on MAC and FIR). Default off (paper-literal exhaustive
+	// re-evaluation).
 	Lazy bool
 	// Progress, when non-nil, receives one TracePoint per committed
 	// exploration step, in commit order, called synchronously from the

@@ -1,8 +1,8 @@
 // Package engine is the concurrent approximation service layer on top of the
 // BLASYS flow (internal/core): a bounded job queue drained by a worker pool,
 // a content-addressed Boolean-matrix-factorization cache shared across jobs
-// (internal/bmf), per-job progress streaming via the core Progress hook, and
-// cooperative cancellation via context plumbed through core.ApproximateCtx.
+// (internal/bmf), per-job progress streaming via the core Checkpoint hook,
+// and cooperative cancellation through core.ApproximateCtx.
 //
 // The design-space search BLASYS performs is embarrassingly parallel in two
 // dimensions — across candidate blocks within one run (core.Config
@@ -92,9 +92,9 @@ type Options struct {
 	// beyond it. Queued and running jobs are never evicted. Default 1024.
 	RetainJobs int
 	// Store, when non-nil, makes the engine durable: submissions, state
-	// transitions, trace points, exploration checkpoints, and results are
-	// journaled as they happen, and New replays the store so completed jobs
-	// are served immediately after a restart. When Cache is nil, the store's
+	// transitions, exploration steps, results and each run's spans are
+	// journaled, and New replays the store so completed jobs are served
+	// immediately after a restart. When Cache is nil, the store's
 	// tiered (memory over disk) factorization cache is used, so warm
 	// factorizations survive restarts too.
 	Store *store.Store
@@ -661,22 +661,18 @@ func (e *Engine) worker() {
 }
 
 // attachTimeline gives a queued job its span timeline: prior-run spans are
-// imported (for a resumed job), the journaling/streaming hook is installed,
-// and the root "job" span with its "queue" child is opened. Must run before
-// the job can reach a worker — spans end on the worker goroutine and the
-// hook must already be in place by then.
+// imported (for a resumed job), the stage-event hook is installed, and the
+// root "job" span with its "queue" child is opened. Must run before the job
+// can reach a worker — spans end on the worker goroutine and the hook must
+// already be in place by then.
 func (e *Engine) attachTimeline(job *Job) {
 	tl := telemetry.NewTimeline(0)
 	tl.Import(job.restoredSpans)
 	job.restoredSpans = nil
-	tl.SetOnEnd(func(rec telemetry.SpanRecord) {
-		if jnl := job.journal(); jnl != nil {
-			if err := jnl.Span(rec); err != nil {
-				e.opts.Logger.Warn("engine: journal span",
-					"job", job.ID, "span", rec.Name, "err", err)
-			}
-		}
-		job.publishStage(rec)
+	tl.SetOnEnd(func(rec telemetry.SpanRecord) { // called with no lock held
+		job.mu.Lock()
+		job.publishLocked(Event{Type: EventStage, Span: &rec})
+		job.mu.Unlock()
 	})
 	job.timeline = tl
 	job.span = tl.Start("job")
@@ -704,14 +700,10 @@ func (e *Engine) run(job *Job) {
 	cc := &countingCache{inner: e.cache, met: e.met}
 	cfg := job.req.Config
 	cfg.Cache = cc
-	cfg.Progress = func(p core.TracePoint) {
-		job.appendTrace(p)
-		e.persistTrace(job, p)
-	}
 	cfg.Resume = job.resume
 	// The checkpoint hook runs store or not: the in-memory snapshot is what
-	// a timed-out job serves its best-so-far frontier from, and what
-	// reconciliation re-persists after a degraded window.
+	// the job's trace derives from, a timed-out job's best-so-far frontier,
+	// and what reconciliation re-persists after a degraded window.
 	cfg.Checkpoint = func(st core.ExplorerState) {
 		e.apply(job, transition{cp: &st})
 	}
@@ -724,9 +716,9 @@ func (e *Engine) run(job *Job) {
 	runStart := time.Now()
 	res, err := core.ApproximateCtx(runCtx, job.req.Circuit, job.req.Spec, cfg)
 	e.met.runSeconds.Observe(time.Since(runStart).Seconds())
-	// Close the spans before the terminal transition: ending them journals
-	// their records (the journal is still open here) and streams the stage
-	// events while subscribers are still attached.
+	// Close the spans before the terminal transition, which journals them,
+	// so that their stage events stream while subscribers are still
+	// attached.
 	runSpan.End()
 	job.span.End()
 	out := outcome{err: err, cacheHits: cc.hits.Load(), cacheMisses: cc.misses.Load()}

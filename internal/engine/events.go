@@ -10,7 +10,8 @@ const (
 	// EventState announces a lifecycle transition; terminal states carry the
 	// result summary (or the error) and end the stream.
 	EventState = "state"
-	// EventTrace carries one committed exploration step.
+	// EventTrace carries one committed exploration step, published once the
+	// step's record is written or the job is marked for reconciliation.
 	EventTrace = "trace"
 	// EventCheckpoint announces that the exploration state through the given
 	// step is durable: its step-log record was appended and fsynced. It is
@@ -53,23 +54,23 @@ type Event struct {
 // status and result endpoints always serve the full picture).
 const eventBuffer = 256
 
-// Subscribe returns a channel replaying the job's history so far (current
-// state, every recorded trace point) and then streaming live events until
-// the job reaches a terminal state, at which point the channel is closed.
-// As with Job.Wait, a terminal state it reports is already durable (or the
-// job is marked for reconciliation), and so is the step of every checkpoint
-// event. The returned cancel function detaches the subscriber early; it is
+// Subscribe returns a channel replaying the job's history so far (every
+// committed step's trace point, current state) and then streaming live
+// events until the job reaches a terminal state, at which point the channel
+// is closed. As with Job.Wait, a state or step it reports is already durable
+// (or the job is marked for reconciliation); a checkpoint event's step is
+// durable. The returned cancel function detaches the subscriber early; it is
 // safe to call after the channel closed.
 func (j *Job) Subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Replay order: recorded trace first, current state last — so a
+	// Replay order: the trace so far first, current state last — so a
 	// terminal state event is always the final event a subscriber sees,
 	// whether it arrived live or from the backlog.
-	backlog := make([]Event, 0, len(j.trace)+1)
-	for i := range j.trace {
-		tp := j.trace[i]
-		backlog = append(backlog, Event{Type: EventTrace, Trace: &tp})
+	trace := j.traceLocked()
+	backlog := make([]Event, 0, len(trace)+1)
+	for i := range trace {
+		backlog = append(backlog, Event{Type: EventTrace, Trace: &trace[i]})
 	}
 	if j.state != StateQueued {
 		// Queued jobs emit their first event on the queued->running flip;
@@ -151,13 +152,4 @@ func (j *Job) closeSubsLocked() {
 		delete(j.subs, id)
 		close(ch)
 	}
-}
-
-// publishStage streams one completed timeline span. Called from the
-// timeline's OnEnd hook, which fires without any job or timeline lock held.
-func (j *Job) publishStage(rec telemetry.SpanRecord) {
-	r := rec
-	j.mu.Lock()
-	j.publishLocked(Event{Type: EventStage, Span: &r})
-	j.mu.Unlock()
 }

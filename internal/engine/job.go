@@ -44,8 +44,8 @@ func (s State) Terminal() bool {
 
 // Request is one unit of work for the engine: a circuit, its output
 // interpretation, and the flow configuration. The engine overrides the
-// Config's Cache, Progress, Checkpoint, and Resume fields to wire in the
-// shared factorization cache and the per-job streams.
+// Config's Cache, Checkpoint, Resume and Span fields to wire in the shared
+// factorization cache, the job's walk and its timeline.
 type Request struct {
 	Circuit *logic.Circuit
 	Spec    qor.OutputSpec
@@ -78,7 +78,6 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	trace    []core.TracePoint
 	cancel   context.CancelFunc
 
 	// userCancel marks an explicit Cancel of a running job, distinguishing
@@ -98,13 +97,14 @@ type Job struct {
 	resume *core.ExplorerState
 	// restored carries a finished job's outcome as replayed from the store
 	// after a restart, standing in for result.
-	restored *restoredResult
+	restored      *restoredResult
+	restoredTrace []core.TracePoint // replayed with a terminal job
 
 	// lastCheckpoint tracks the latest exploration snapshot the run handed
-	// to the Checkpoint hook (always kept, store or not): it is the
-	// best-so-far record a timed-out job serves its frontier from, and what
-	// reconciliation re-persists after degraded mode ends. cpFrontier caches
-	// the frontier lazily rebuilt from it.
+	// to the Checkpoint hook (always kept, store or not): the job's trace
+	// derives from it, a timed-out job serves its frontier from it, and
+	// reconciliation re-persists it after degraded mode ends. cpFrontier
+	// caches the frontier lazily rebuilt from it.
 	lastCheckpoint *core.ExplorerState
 	cpFrontier     *core.Frontier
 	// durable is the position of the job's last durable checkpoint, the
@@ -241,14 +241,6 @@ func (j *Job) clearDirty() {
 	j.mu.Unlock()
 }
 
-func (j *Job) appendTrace(p core.TracePoint) {
-	j.mu.Lock()
-	j.trace = append(j.trace, p)
-	tp := p
-	j.publishLocked(Event{Type: EventTrace, Trace: &tp})
-	j.mu.Unlock()
-}
-
 // Wait blocks until the job reaches a terminal state or ctx expires. The
 // terminal state is durable by the time Wait returns: its record has landed
 // in the store, or the job is marked for reconciliation because the store
@@ -335,11 +327,26 @@ func (j *Job) Snapshot(withTrace bool) Status {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if withTrace && len(j.trace) > 0 {
-		st.Trace = append([]core.TracePoint(nil), j.trace...)
+	if withTrace {
+		st.Trace = j.traceLocked()
 	}
 	st.Result = j.resultSummaryLocked()
 	return st
+}
+
+// traceLocked derives the job's trace from the record of its walk: its
+// result, latest or resumed exploration state, or replayed trace. Callers
+// hold j.mu.
+func (j *Job) traceLocked() []core.TracePoint {
+	switch {
+	case j.result != nil:
+		return j.result.Trace()[1:] // without the accurate circuit's point
+	case j.lastCheckpoint != nil:
+		return j.lastCheckpoint.TracePoints()
+	case j.resume != nil:
+		return j.resume.TracePoints()
+	}
+	return append([]core.TracePoint(nil), j.restoredTrace...)
 }
 
 // resultSummaryLocked condenses the job's outcome — live result or restored

@@ -28,8 +28,8 @@ type transition struct {
 	// reconcile re-writes the records of a dirty job's current state whole;
 	// its notice is published unless that write fails.
 	reconcile bool
-	// keepJournal leaves the journal as it is: a shutdown keeps it at
-	// running, so that the next start resumes the job.
+	// keepJournal journals only the run's spans: a shutdown keeps the
+	// journal at running, so that the next start resumes the job.
 	keepJournal bool
 }
 
@@ -65,7 +65,9 @@ func (e *Engine) apply(job *Job, t transition) bool {
 		// A dirty job's journal may lack what a restart needs to resume it,
 		// so its steps are not announced until it is reconciled.
 		landed = e.writeStep(job, t.cp) && !dirty
-	case t.to.state != "" && !t.keepJournal:
+	case t.keepJournal:
+		e.writeSpans(job)
+	case t.to.state != "":
 		e.write(job, t.to, false)
 	}
 
@@ -87,6 +89,8 @@ func (e *Engine) apply(job *Job, t transition) bool {
 	}
 	if t.cp != nil {
 		job.lastCheckpoint, job.cpFrontier = t.cp, nil
+		trace := t.cp.TracePoints()
+		job.publishLocked(Event{Type: EventTrace, Trace: &trace[len(trace)-1]})
 		if landed {
 			job.publishLocked(Event{Type: EventCheckpoint, Step: t.cp.Step})
 		}

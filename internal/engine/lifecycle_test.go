@@ -108,7 +108,9 @@ func TestTerminalRecordDurableBeforeWait(t *testing.T) {
 			req.Deadline = 400 * time.Millisecond
 			j := submitOrFail(t, e, req)
 			waitRunning(t, j)
-			inj.Add(slow)
+			// Slow step-log appends too, so that the walk outlasts its
+			// deadline.
+			inj.Add(slow, faults.Rule{Op: faults.OpCheckpointWrite, Latency: slow.Latency})
 			return j, nil
 		}},
 	}
@@ -174,7 +176,8 @@ var lifecycleSeeds = flag.Int("lifecycle.seeds", 3, "event sequences TestLifecyc
 // TestLifecycleInterleavings is a deterministic experiment on the job
 // lifecycle: each seed draws a sequence of 30 events — submissions (some in
 // bursts, some deadlined, some failing), cancels, waits, pauses, a slow or
-// failing disk, recoveries, outages under load, and restarts — and runs it
+// failing disk, recoveries, outages under load, restarts, and a write that
+// fails during a half-open probe — and runs it
 // against a real store behind a fault injector, with one or two workers
 // running small adder jobs. The events are seeded; how they interleave with
 // the workers is not, which is the point. After every event, and whenever a
@@ -191,7 +194,8 @@ var lifecycleSeeds = flag.Int("lifecycle.seeds", 3, "event sequences TestLifecyc
 //     waiters, or the last one is cancelled in the queue, no job counts as
 //     running or queued and a 1 ms deadline is admitted;
 //   - recovery: once the store recovers no job stays dirty, and a restart
-//     serves each done job's result.blif byte for byte.
+//     serves each done job's result.blif byte for byte; a probe in flight
+//     when a write fails does not recover the store.
 func TestLifecycleInterleavings(t *testing.T) {
 	for seed := int64(1); seed <= int64(*lifecycleSeeds); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -320,6 +324,7 @@ const (
 	evWait    = "wait"
 	evIdle    = "idle"
 	evPause   = "pause"
+	evProbe   = "probe race"
 )
 
 // eventWeights is the event mix each seed draws from.
@@ -328,7 +333,7 @@ var eventWeights = []struct {
 	weight int
 }{
 	{evSubmit, 7}, {evCancel, 2}, {evFault, 2}, {evRecover, 2}, {evOutage, 2},
-	{evRestart, 1}, {evWait, 2}, {evIdle, 2}, {evPause, 3},
+	{evRestart, 1}, {evWait, 2}, {evIdle, 2}, {evPause, 3}, {evProbe, 1},
 }
 
 func (h *lifecycleHarness) draw() string {
@@ -391,6 +396,8 @@ func (h *lifecycleHarness) do(ev string) {
 		h.idle()
 	case evPause:
 		time.Sleep(time.Duration(1+h.rng.Intn(15)) * time.Millisecond)
+	case evProbe:
+		h.probeRace()
 	}
 }
 
@@ -423,6 +430,11 @@ func (h *lifecycleHarness) request() Request {
 
 func (h *lifecycleHarness) submit(req Request) *Job {
 	j, err := h.e.Submit(req)
+	return h.admitted(req, j, err)
+}
+
+// admitted tracks a job Submit accepted, and checks why it refused one.
+func (h *lifecycleHarness) admitted(req Request, j *Job, err error) *Job {
 	switch {
 	case err == nil:
 		h.accept(j)
@@ -523,10 +535,11 @@ func (h *lifecycleHarness) arm() {
 	}
 }
 
-// slowDisk delays every journal append by h.slow.
+// slowDisk delays every journal and step-log append by h.slow.
 func (h *lifecycleHarness) slowDisk() {
 	if h.slow > 0 {
-		h.inj.Add(faults.Rule{Op: faults.OpJournalAppend, Latency: h.slow})
+		h.inj.Add(faults.Rule{Op: faults.OpJournalAppend, Latency: h.slow},
+			faults.Rule{Op: faults.OpCheckpointWrite, Latency: h.slow})
 	}
 }
 
@@ -553,6 +566,90 @@ func (h *lifecycleHarness) recover() {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// probeRace fails a submission's journal write while a slow half-open probe
+// is in flight: the write starts while the store is healthy, its attempts
+// are slow and fail, another write trips the breaker meanwhile, and its
+// retries run out during the probe that follows. That probe checked the
+// disk before the failure, so it must not recover the store; a later one
+// does, and the submission is reconciled.
+func (h *lifecycleHarness) probeRace() {
+	if h.st.Degraded() != nil {
+		h.recover()
+	}
+	h.inj.Add(faults.Rule{Op: faults.OpProbe, Latency: 100 * time.Millisecond},
+		faults.Rule{Op: faults.OpJournalOpen, Err: faults.ErrInjectedIO, Latency: 15 * time.Millisecond})
+	req := h.request()
+	req.Deadline = 0 // not shed: its write is the point
+	type submitted struct {
+		j   *Job
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		j, err := h.e.Submit(req)
+		done <- submitted{j, err}
+	}()
+	attempts := func() int {
+		for _, r := range h.inj.Snapshot() {
+			if r.Op == faults.OpJournalOpen {
+				return r.Seen
+			}
+		}
+		return 0
+	}
+	// awaitAttempt waits until the write has started its nth attempt; false
+	// if the submission returned first (refused before it wrote anything).
+	awaitAttempt := func(n int) bool {
+		for attempts() < n {
+			select {
+			case s := <-done:
+				done <- s
+				return false
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		return true
+	}
+	raced := awaitAttempt(1)
+	var from time.Time
+	if raced {
+		h.st.TripForTest(errors.New("another write failed"))
+		raced = awaitAttempt(chaosRetry.Attempts)
+		from = time.Now() // the last attempt fails after this
+	}
+	s := <-done
+	to := time.Now()
+	h.admitted(req, s.j, s.err)
+	if raced {
+		// Every probe in flight across the failure must fail.
+		deadline := time.Now().Add(10 * time.Second)
+		for covered := 0; ; covered = 0 {
+			settled := true
+			for _, sp := range h.st.ProbeSpans() {
+				switch {
+				case !sp.Start.Before(from):
+				case sp.End.IsZero():
+					settled = false
+				case sp.End.After(to):
+					covered++
+					if sp.Attrs["outcome"] != "failed" {
+						h.t.Errorf("%s: a probe in flight when a write failed reports %v", h.step, sp.Attrs["outcome"])
+					}
+				}
+			}
+			if settled {
+				h.t.Logf("%s: %d probes in flight across the failed write", h.step, covered)
+				break
+			}
+			if time.Now().After(deadline) {
+				h.t.Fatalf("%s: a probe never finished", h.step)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	h.recover()
 }
 
 // restart closes the engine and its store, then starts a new engine on the
@@ -724,8 +821,8 @@ func (h *lifecycleHarness) checkTerminal(j *Job, st State, via string) {
 	h.durableAtLeast(j, st, h.replayOf(j.ID)[j.ID], via)
 }
 
-// checkStep checks that a replayed job which still has exploration state
-// (it is unfinished, or timed out) holds at least the announced step k.
+// checkStep checks that a replayed job which keeps its exploration state
+// (every job but a done one) holds at least the announced step k.
 // Replay reads a job's journal before its step log, so a replay that runs
 // while the job finishes may read the journal from before the terminal
 // record and the step log from after the terminal transition dropped it —
@@ -737,8 +834,8 @@ func (h *lifecycleHarness) checkStep(id string, k int, rec *store.JobRecord) {
 		switch {
 		case rec == nil:
 			short = "the store has no record of it"
-		case rec.Terminal() && rec.State != string(StateTimeout):
-			return // the terminal record supersedes the step log
+		case rec.State == string(StateDone):
+			return // the result supersedes the step log
 		case store.PositionOf(rec.Checkpoint).Step < k:
 			short = fmt.Sprintf("the store replays %s at step %d", rec.State, store.PositionOf(rec.Checkpoint).Step)
 		default:

@@ -53,31 +53,18 @@ func (j *Job) setJournal(jnl *store.Journal) {
 	j.mu.Unlock()
 }
 
-// persistTrace journals one committed trace point. A dropped trace line does
-// NOT dirty the job: the trace is progress telemetry, superseded by the
-// checkpoint and result, and reconciliation deliberately does not replay it.
-func (e *Engine) persistTrace(job *Job, p core.TracePoint) {
-	jnl := job.journal()
-	if jnl == nil {
-		return
-	}
-	if err := jnl.Trace(p); err != nil {
-		e.opts.Logger.Warn("engine: journal trace", "job", job.ID, "step", p.Step, "err", err)
-	}
-}
-
 // write is the one writer of the records that make a job's state o
 // durable. A whole write (a new submission, or reconciliation after a
 // degraded window) serves a journal that may lack every earlier record: it
 // opens the journal if the job has none and writes the request first and,
-// for a queued, running or timed-out job, its whole exploration state as
-// one step-log record based at step 0. Then come a done job's result and
-// the state record. A terminal job's journal is then closed and its step
-// log dropped; a timed-out job keeps the step log as the durable record of
-// its best-so-far frontier, and a dirty job keeps it as its resume point
-// until reconciliation lands its terminal record. A failed write marks the
-// job dirty; a whole write that lands clears the mark. Reports whether the
-// records landed. Callers hold job.transMu, or own a job not yet published.
+// unless the job is done, its whole exploration state as one step-log
+// record based at step 0. A whole or terminal write then journals the
+// run's spans; last come a done job's result and the state record. A
+// terminal job's journal is then closed, and a done job's step log dropped:
+// its result supersedes it. A failed write marks the job dirty (a dirty job
+// keeps its step log as its resume point); a whole write that lands clears
+// the mark. Reports whether the records landed. Callers hold job.transMu,
+// or own a job not yet published.
 func (e *Engine) write(job *Job, o outcome, whole bool) bool {
 	if e.opts.Store == nil || (job.journal() == nil && !whole) {
 		return false // memory-only, or a job left dirty without a journal
@@ -92,7 +79,7 @@ func (e *Engine) write(job *Job, o outcome, whole bool) bool {
 		job.clearDirty()
 	}
 	if o.state.Terminal() {
-		e.closeJournal(job, o.state == StateTimeout)
+		e.closeJournal(job, o.state != StateDone)
 	}
 	return err == nil
 }
@@ -114,12 +101,15 @@ func (e *Engine) writeRecords(job *Job, o outcome, whole bool) error {
 		if err := jnl.Request(req); err != nil {
 			return err
 		}
-		if cp := job.checkpoint(); cp != nil && (!o.state.Terminal() || o.state == StateTimeout) {
+		if cp := job.checkpoint(); cp != nil && o.state != StateDone {
 			if err := jnl.Checkpoint(cp, store.Position{}); err != nil {
 				return err
 			}
 			job.markDurable(store.PositionOf(cp))
 		}
+	}
+	if whole || o.state.Terminal() {
+		e.writeSpans(job)
 	}
 	if o.state == StateDone && o.result != nil {
 		rec, err := store.NewResultRecord(o.result)
@@ -149,6 +139,25 @@ func (e *Engine) writeStep(job *Job, st *core.ExplorerState) bool {
 	}
 	job.markDurable(store.PositionOf(st))
 	return true
+}
+
+// writeSpans journals the job's completed spans in one append. A lost span
+// only trims the restored timeline (and replay keeps the first record per
+// span), so a failure is logged, not marked dirty. Callers hold transMu.
+func (e *Engine) writeSpans(job *Job) {
+	jnl := job.journal()
+	if jnl == nil {
+		return
+	}
+	var done []telemetry.SpanRecord
+	for _, r := range job.Timeline() {
+		if !r.End.IsZero() {
+			done = append(done, r)
+		}
+	}
+	if err := jnl.Span(done...); err != nil {
+		e.opts.Logger.Warn("engine: journal spans", "job", job.ID, "spans", len(done), "err", err)
+	}
 }
 
 // closeJournal closes a terminal job's journal and step log, releasing their
@@ -210,11 +219,11 @@ func restoreTerminalJob(rec *store.JobRecord) *Job {
 			state:     State(rec.State),
 			cacheHits: rec.CacheHits, cacheMisses: rec.CacheMisses,
 		},
-		created:  rec.Created,
-		started:  rec.Started,
-		finished: rec.Finished,
-		trace:    rec.Trace,
-		done:     make(chan struct{}),
+		created:       rec.Created,
+		started:       rec.Started,
+		finished:      rec.Finished,
+		restoredTrace: rec.Trace,
+		done:          make(chan struct{}),
 	}
 	if rec.Error != "" {
 		j.err = errRestored(rec.Error)
@@ -244,8 +253,8 @@ func (e errRestored) Error() string { return string(e) }
 
 // requeueJob rebuilds an interrupted job and prepares it to run again under
 // its original ID, resuming from its checkpoint when one survived (a job
-// journaled as running with no checkpoint simply restarts from step 0 — the
-// journal's trace points are superseded by the rerun, so they are dropped).
+// journaled as running with no checkpoint simply restarts from step 0). Its
+// trace derives from the checkpoint until the resumed run commits a step.
 func requeueJob(opts Options, rec *store.JobRecord) (*Job, error) {
 	circ, spec, cfg, err := rec.Request.Materialize()
 	if err != nil {
@@ -272,11 +281,6 @@ func requeueJob(opts Options, rec *store.JobRecord) (*Job, error) {
 		// attaches the fresh timeline, so the resumed job's timeline spans
 		// both lives.
 		restoredSpans: rec.Spans,
-	}
-	if rec.Checkpoint != nil {
-		// Rebuild the trace the original process had streamed; the resumed
-		// run's Progress hook appends from the checkpointed step onward.
-		j.trace = rec.Checkpoint.TracePoints()
 	}
 	jnl, err := opts.Store.Journal(rec.ID)
 	if err != nil {

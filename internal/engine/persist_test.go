@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
@@ -272,15 +273,18 @@ func TestShutdownMidWalkResumesFromStepLog(t *testing.T) {
 	// enough to shut the engine down there: the append still lands, and the
 	// walk stops before its next step.
 	const durable = 3
-	st.SetFaults(faults.New(1).Add(faults.Rule{
-		Op: faults.OpCheckpointWrite, After: durable - 1, Times: 1, Latency: time.Second}))
+	inj := faults.New(1).Add(faults.Rule{
+		Op: faults.OpCheckpointWrite, After: durable - 1, Times: 1, Latency: time.Second})
+	st.SetFaults(inj)
 	e := New(Options{Workers: 1, Store: st})
 	j, err := e.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The rule sees each append as it starts, so the third one is under way
+	// once it has seen three.
 	deadline := time.Now().Add(time.Minute)
-	for len(j.Snapshot(true).Trace) < durable && time.Now().Before(deadline) {
+	for inj.Snapshot()[0].Seen < durable && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	e.Close()
@@ -459,17 +463,11 @@ func TestCancelDuringResume(t *testing.T) {
 	}
 	e2.Close()
 
-	// The superseded exploration state — snapshot and step log — is dropped
-	// on every terminal path, cancellation included.
-	if cp, err := openStore(t, dir).ReadCheckpoint(id); err != nil || cp != nil {
-		t.Fatalf("checkpoint survived cancellation: cp=%v err=%v", cp, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs", id+".steps")); !os.IsNotExist(err) {
-		t.Fatalf("step log survived cancellation (stat err %v)", err)
-	}
+	wantTrace := traceJSON(t, j2)
 
 	// Third start: the cancellation is durable — the job is restored as
-	// cancelled, not resumed again.
+	// cancelled, not resumed again — and the exploration state it kept
+	// serves the trace it served before the restart.
 	e3 := New(Options{Workers: 1, Store: openStore(t, dir), Resume: true})
 	defer e3.Close()
 	if m := e3.Metrics(); m.JobsResumed != 0 || m.JobsRestored != 1 {
@@ -482,6 +480,19 @@ func TestCancelDuringResume(t *testing.T) {
 	if j3.State() != StateCancelled {
 		t.Fatalf("third-start state = %s, want cancelled", j3.State())
 	}
+	if got := traceJSON(t, j3); got != wantTrace {
+		t.Fatalf("restored trace differs:\nwant %s\ngot  %s", wantTrace, got)
+	}
+}
+
+// traceJSON renders the job's status trace as the status endpoint does.
+func traceJSON(t *testing.T, j *Job) string {
+	t.Helper()
+	b, err := json.Marshal(j.Snapshot(true).Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestRejectedSubmissionLeavesNoStoreRecord(t *testing.T) {
@@ -609,4 +620,209 @@ func TestWarmDiskCacheAcrossRestart(t *testing.T) {
 	if snap.CacheHits == 0 {
 		t.Fatal("restarted run recorded no cache hits")
 	}
+}
+
+// TestStepPathWritesOnlyTheStepLog: a committed step's one store write is
+// its fsynced step-log append; the trace derives from the walk's record and
+// the run's spans are journaled when it ends. So under a slow journal, jobs
+// of one and of three steps make the same number of journal appends, and
+// neither walk waits on one.
+func TestStepPathWritesOnlyTheStepLog(t *testing.T) {
+	const latency = 300 * time.Millisecond
+	appends := make(map[int]int)
+	for _, steps := range []int{1, 3} {
+		st := openStore(t, t.TempDir())
+		inj := faults.New(1).Add(faults.Rule{Op: faults.OpJournalAppend, Latency: latency})
+		st.SetFaults(inj)
+		e := New(Options{Workers: 1, Store: st})
+		cfg := persistCfg()
+		cfg.MaxSteps = steps
+		j := submitOrFail(t, e, adderRequest(t, 4, cfg))
+		waitDone(t, j)
+		e.Close()
+		if j.State() != StateDone || len(j.Result().Steps) != steps {
+			t.Fatalf("job %s (%v), want done after %d steps", j.State(), j.Err(), steps)
+		}
+		appends[steps] = inj.Snapshot()[0].Seen
+		explored := false
+		for _, r := range j.Timeline() {
+			if r.Name == "explore" {
+				explored = true
+				if r.Duration() >= latency {
+					t.Errorf("%d-step walk took %v under a %v journal append", steps, r.Duration(), latency)
+				}
+			}
+		}
+		if !explored {
+			t.Fatalf("%d-step job recorded no explore span", steps)
+		}
+	}
+	if appends[1] != appends[3] {
+		t.Fatalf("journal appends: %d for one step, %d for three; want the same", appends[1], appends[3])
+	}
+	t.Logf("%d journal appends per job", appends[1])
+}
+
+// TestRestartTraceIsByteIdentical: the status trace derives from the record
+// of the walk — the result, or the exploration state a job kept — so a
+// restart serves it byte for byte for a done, a failed, a cancelled and a
+// timed-out job. A job a shutdown interrupted resumes with the trace it had,
+// from a step-log store or from one written before the trace was derived,
+// runs on to the uninterrupted walk's trace, and its timeline holds the
+// spans of both runs.
+func TestRestartTraceIsByteIdentical(t *testing.T) {
+	long := core.Config{Samples: 1 << 16, Seed: 1, ExploreFully: true}
+	ref, reqRec := runReference(t, t.TempDir(), adderRequest(t, 8, long))
+	refTrace := traceJSON(t, ref)
+	// slowSteps keeps a walk under way long enough to cancel it, time it
+	// out or shut it down after a few steps.
+	slowSteps := faults.Rule{Op: faults.OpCheckpointWrite, Latency: 150 * time.Millisecond}
+	// start runs an engine over dir with the fault rules armed on its store.
+	start := func(t *testing.T, dir string, rules ...faults.Rule) *Engine {
+		st := openStore(t, dir)
+		st.SetFaults(faults.New(1).Add(rules...))
+		e := New(Options{Workers: 1, Store: st, Resume: true})
+		t.Cleanup(e.Close)
+		return e
+	}
+	// steps polls until the job's trace has n points.
+	steps := func(t *testing.T, j *Job, n int) {
+		deadline := time.Now().Add(time.Minute)
+		for len(j.Snapshot(true).Trace) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s committed fewer than %d steps", j.ID, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// restarted starts the next engine over dir and checks that it serves
+	// the job's trace as before. A resumed job's first journal append, its
+	// running record, is held up, so that it shows its trace as of the
+	// restart.
+	restarted := func(t *testing.T, dir, id, want string) (*Engine, *Job) {
+		e := start(t, dir, faults.Rule{Op: faults.OpJournalAppend, Times: 1, Latency: 500 * time.Millisecond})
+		j, err := e.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := traceJSON(t, j); got != want {
+			t.Fatalf("trace after the restart:\n%s\nbefore:\n%s", got, want)
+		}
+		return e, j
+	}
+	terminal := []struct {
+		name string
+		want State
+		run  func(t *testing.T, dir string) *Job // runs the job on an engine over dir
+	}{
+		{"done", StateDone, func(t *testing.T, dir string) *Job {
+			return submitOrFail(t, start(t, dir), adderRequest(t, 8, long))
+		}},
+		{"failed mid-walk", StateFailed, func(t *testing.T, dir string) *Job {
+			// The step log was written under another seed, so the resumed
+			// run refuses it after two committed steps.
+			circ, spec, cfg, err := reqRec.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var states []core.ExplorerState
+			cfg.Seed++
+			cfg.Checkpoint = func(st core.ExplorerState) { states = append(states, st) }
+			if _, err := core.Approximate(circ, spec, cfg); err != nil {
+				t.Fatal(err)
+			}
+			st := openStore(t, dir)
+			jnl, err := st.Journal("job-failed")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, err := range []error{jnl.Request(reqRec), jnl.State("running", ""),
+				jnl.Checkpoint(&states[1], store.Position{}), jnl.Close()} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			j, err := start(t, dir).Get("job-failed")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}},
+		{"user cancel", StateCancelled, func(t *testing.T, dir string) *Job {
+			e := start(t, dir, slowSteps)
+			j := submitOrFail(t, e, adderRequest(t, 8, long))
+			steps(t, j, 1)
+			if _, err := e.Cancel(j.ID); err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}},
+		{"timeout", StateTimeout, func(t *testing.T, dir string) *Job {
+			req := adderRequest(t, 8, long)
+			req.Deadline = time.Second // the walk's nine slowed steps take longer
+			return submitOrFail(t, start(t, dir, slowSteps), req)
+		}},
+	}
+	for _, row := range terminal {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			j := row.run(t, dir)
+			waitDone(t, j)
+			if j.State() != row.want {
+				t.Fatalf("job %s (%v), want %s", j.State(), j.Err(), row.want)
+			}
+			before := traceJSON(t, j)
+			if before == "null" {
+				t.Fatal("the job committed no step")
+			}
+			restarted(t, dir, j.ID, before)
+		})
+	}
+
+	t.Run("shutdown", func(t *testing.T) {
+		t.Parallel()
+		dir := t.TempDir()
+		e1 := start(t, dir, slowSteps)
+		j1 := submitOrFail(t, e1, adderRequest(t, 8, long))
+		steps(t, j1, 2)
+		e1.Close()
+		restart := time.Now()
+		e2, j2 := restarted(t, dir, j1.ID, traceJSON(t, j1))
+		waitDone(t, j2)
+		if got := traceJSON(t, j2); j2.State() != StateDone || got != refTrace {
+			t.Fatalf("resumed job %s with trace\n%s\nwant done with\n%s", j2.State(), got, refTrace)
+		}
+		runs := map[bool]int{}
+		for _, r := range j2.Timeline() {
+			if r.Name == "run" {
+				runs[r.Start.Before(restart)]++
+			}
+		}
+		if runs[true] != 1 || runs[false] != 1 {
+			t.Fatalf("resumed job's timeline has %d run spans from before the restart and %d after, want 1 and 1",
+				runs[true], runs[false])
+		}
+		e2.Close()
+		restarted(t, dir, j1.ID, refTrace)
+	})
+
+	t.Run("store written before the trace was derived", func(t *testing.T) {
+		t.Parallel()
+		dir := t.TempDir()
+		interruptedStore(t, dir, "job-old", reqRec, 1)
+		var prefix []core.TracePoint
+		if err := json.Unmarshal([]byte(refTrace), &prefix); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(prefix[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, j := restarted(t, dir, "job-old", string(b))
+		waitDone(t, j)
+		if got := traceJSON(t, j); got != refTrace {
+			t.Fatalf("resumed trace\n%s\nwant\n%s", got, refTrace)
+		}
+	})
 }

@@ -64,8 +64,11 @@ type breaker struct {
 	since      time.Time
 	timer      *time.Timer
 	stopped    bool
-	onDegraded func(error)
-	onRecover  func()
+	// failedProbe is the cause of a trip while a half-open probe is in
+	// flight: that probe's check came before the failure, so it fails too.
+	failedProbe error
+	onDegraded  func(error)
+	onRecover   func()
 
 	// tl records one span per half-open probe, so chaos tests and the
 	// timeline surface can see when recovery was attempted and how it went.
@@ -79,9 +82,14 @@ func newBreaker(s *Store) *breaker {
 	return &breaker{s: s, probeEvery: defaultProbeInterval, tl: telemetry.NewTimeline(0)}
 }
 
-// trip opens the breaker (idempotent while already open/half-open).
+// trip opens the breaker (idempotent while already open). A trip while a
+// probe is in flight fails that probe: it re-opens the breaker instead of
+// closing it.
 func (b *breaker) trip(cause error) {
 	b.mu.Lock()
+	if b.state.Load() == breakerHalfOpen {
+		b.failedProbe = cause
+	}
 	if b.stopped || b.state.Load() != breakerClosed {
 		b.mu.Unlock()
 		return
@@ -100,8 +108,9 @@ func (b *breaker) trip(cause error) {
 }
 
 // probe runs one half-open writability check on the breaker's timer
-// goroutine. Failure re-opens and reschedules; success closes the breaker
-// and fires the recovery callback (the engine reconciles journals there).
+// goroutine. Failure — of the check, or of a write while it ran — re-opens
+// and reschedules; success closes the breaker and fires the recovery
+// callback (the engine reconciles journals there).
 func (b *breaker) probe() {
 	b.mu.Lock()
 	if b.stopped || b.state.Load() != breakerOpen {
@@ -110,12 +119,19 @@ func (b *breaker) probe() {
 	}
 	b.state.Store(breakerHalfOpen)
 	mBreakerState.Set(float64(breakerHalfOpen))
+	b.failedProbe = nil
 	b.mu.Unlock()
 
 	sp := b.tl.Start("store.probe")
 	start := time.Now()
 	err := b.s.Writable()
 	mProbeSeconds.Observe(time.Since(start).Seconds())
+
+	b.mu.Lock()
+	if err == nil {
+		err = b.failedProbe
+	}
+	// The span ends under b.mu, so a trip it covers was seen by this probe.
 	if err != nil {
 		sp.SetAttr("outcome", "failed")
 		sp.SetAttr("error", err.Error())
@@ -123,8 +139,6 @@ func (b *breaker) probe() {
 		sp.SetAttr("outcome", "recovered")
 	}
 	sp.End()
-
-	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
 		return

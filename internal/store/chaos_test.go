@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,6 +124,53 @@ func TestBreakerRecoversThroughHalfOpenProbe(t *testing.T) {
 	}
 	if failed < 2 || ok != 1 {
 		t.Fatalf("probe spans: %d failed, %d recovered; want >=2 failed and exactly 1 recovered", failed, ok)
+	}
+}
+
+// TestBreakerTripDuringProbeFailsIt: a write that fails while a half-open
+// probe is in flight fails that probe, since its check came before the
+// failure. The breaker re-opens instead of closing and firing recovery right
+// after a failed write, and a later probe recovers it.
+func TestBreakerTripDuringProbeFailsIt(t *testing.T) {
+	s := openTestStore(t)
+	s.SetProbeInterval(5 * time.Millisecond)
+	recovered := make(chan struct{}, 2)
+	s.OnStateChange(nil, func() { recovered <- struct{}{} })
+	s.SetFaults(faults.New(1).Add(faults.Rule{Op: faults.OpProbe, Times: 1, Latency: 200 * time.Millisecond}))
+	s.TripForTest(errors.New("first write failed"))
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var de *DegradedError
+		if errors.As(s.Degraded(), &de) && de.State == "half-open" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never went half-open: %v", s.Degraded())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.TripForTest(errors.New("write failed during the probe"))
+
+	select {
+	case <-recovered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("breaker never recovered")
+	}
+	spans := s.ProbeSpans()
+	if len(spans) < 2 {
+		t.Fatalf("recovered after %d probes, want the failed one and a later one", len(spans))
+	}
+	if got := spans[0].Attrs["outcome"]; got != "failed" {
+		t.Fatalf("the probe in flight when a write failed reports %v, want failed", got)
+	}
+	if got, _ := spans[0].Attrs["error"].(string); !strings.Contains(got, "write failed during the probe") {
+		t.Fatalf("failed probe's error = %q, want the write's failure", got)
+	}
+	select {
+	case <-recovered:
+		t.Fatal("recovery fired twice")
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 

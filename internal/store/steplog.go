@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -130,8 +129,8 @@ func (s *Store) loadCheckpoint(id string) *core.ExplorerState {
 	return st
 }
 
-// foldStepLog applies the job's step records to st in log order. Corrupt
-// lines are skipped with a warning, as journal replay does.
+// foldStepLog applies the job's step records to st in log order. Corrupt and
+// over-long lines are skipped with a warning, as journal replay does.
 func (s *Store) foldStepLog(id string, st *core.ExplorerState) {
 	f, err := os.Open(s.jobPath(id, stepsExt))
 	if err != nil {
@@ -141,23 +140,24 @@ func (s *Store) foldStepLog(id string, st *core.ExplorerState) {
 		return
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	line := 0
-	for sc.Scan() {
+	err = scanLines(f, func(raw []byte, long bool) {
 		line++
-		raw := sc.Bytes()
+		if long {
+			s.log.Warn("store: skipping record (over-long step-log line)", "job", id, "line", line, "max", maxLine)
+			return
+		}
 		if len(raw) == 0 {
-			continue
+			return
 		}
 		var r stepRecord
 		if err := json.Unmarshal(raw, &r); err != nil {
 			s.log.Warn("store: skipping record (corrupt step-log line)", "job", id, "line", line, "err", err)
-			continue
+			return
 		}
 		r.extend(st)
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		s.log.Warn("store: truncating step-log replay", "job", id, "line", line, "err", err)
 	}
 }

@@ -5,13 +5,13 @@
 // Layout under the store directory:
 //
 //	jobs/<id>.journal     append-only JSONL: request, state transitions,
-//	                      trace points, spans, terminal result — written as
-//	                      they happen, one self-contained record per line
+//	                      each run's spans, terminal result — one
+//	                      self-contained record per line
 //	jobs/<id>.steps       append-only JSONL step log: one fsynced record per
 //	                      committed exploration step, holding what the
 //	                      core.ExplorerState gained since the last durable
-//	                      record plus its small fields whole; deleted when
-//	                      the job finishes (a timed-out job keeps it)
+//	                      record plus its small fields whole; deleted once
+//	                      the job is done (every other terminal job keeps it)
 //	jobs/<id>.checkpoint  optional whole core.ExplorerState snapshot,
 //	                      atomically replaced; replay folds the step log onto
 //	                      it. The engine writes only the step log, so a
@@ -20,23 +20,24 @@
 //	cache/<aa>/<key>.json content-addressed factorization results
 //
 // Both job files hold small monotone facts: appends are cheap, replay is a
-// fold, and a torn final line loses at most one record. The step log keeps
-// the bytes written per step proportional to that step's growth (its new
-// trajectory entry and frontier points) instead of the whole state so far,
-// and still costs one fsync per committed step. Replay starts from the
-// snapshot, if any, and applies each step record that extends the state
-// reached so far; retried duplicates and records already covered are
-// skipped.
+// fold, and a torn final line loses at most one record. Replay derives a
+// job's trace from its result or its step log. The step log keeps the bytes
+// written per step proportional to that step's growth (its new trajectory
+// entry and frontier points) instead of the whole state so far, and still
+// costs one fsync per committed step. Replay starts from the snapshot, if
+// any, and applies each step record that extends the state reached so far;
+// retried duplicates and records already covered are skipped.
 //
-// Replay is deliberately lenient: a corrupt or truncated journal or step-log
-// line is skipped with a logged warning (the crash that necessitated the
-// replay is exactly when a torn write is expected), and an unreadable or
-// inconsistent exploration state degrades to resuming from step 0. Replay
-// never fails the whole store open for one damaged job.
+// Replay is deliberately lenient: a corrupt, truncated or over-long journal
+// or step-log line is skipped with a logged warning (the crash that
+// necessitated the replay is exactly when a torn write is expected), and an
+// unreadable or inconsistent exploration state degrades to resuming from
+// step 0. Replay never fails the whole store open for one damaged job.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -366,41 +367,58 @@ func (a *appendLog) close() error {
 	return err
 }
 
-func (j *Journal) append(e entry, sync bool) error {
-	e.Time = time.Now().UTC()
-	line, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("store: journal %s: %w", j.id, err)
+// append lands the entries as one append of one line each.
+func (j *Journal) append(sync bool, es ...entry) error {
+	now := time.Now().UTC()
+	var lines []byte
+	for _, e := range es {
+		e.Time = now
+		line, err := json.Marshal(&e)
+		if err != nil {
+			return fmt.Errorf("store: journal %s: %w", j.id, err)
+		}
+		lines = append(append(lines, line...), '\n')
 	}
-	return j.log.append(j.st, append(line, '\n'), sync)
+	return j.log.append(j.st, lines, sync)
 }
 
 // Request journals the job's (re-materializable) submission.
 func (j *Journal) Request(r *RequestRecord) error {
-	return j.append(entry{Type: "request", Request: r}, true)
+	return j.append(true, entry{Type: "request", Request: r})
 }
 
 // State journals a lifecycle transition; jobErr carries the failure message
 // for terminal error states. Terminal states are fsynced.
 func (j *Journal) State(state, jobErr string) error {
 	sync := state == "done" || state == "failed" || state == "cancelled" || state == "timeout"
-	return j.append(entry{Type: "state", State: state, Error: jobErr}, sync)
+	return j.append(sync, entry{Type: "state", State: state, Error: jobErr})
 }
 
-// Trace journals one committed exploration trace point.
+// Trace journals one committed exploration trace point. Replay reads trace
+// records only for a job with neither a result nor a step log, as in stores
+// written before it derived traces; only perfbench's traced replay and the
+// engine tests' fixture of such a store (interruptedStore) still write them.
 func (j *Journal) Trace(p core.TracePoint) error {
-	return j.append(entry{Type: "trace", Trace: &p}, false)
+	return j.append(false, entry{Type: "trace", Trace: &p})
 }
 
-// Span journals one completed telemetry span (not fsynced: a span lost to a
-// crash only trims the restored timeline, it never affects results).
-func (j *Journal) Span(r telemetry.SpanRecord) error {
-	return j.append(entry{Type: "span", Span: &r}, false)
+// Span journals completed telemetry spans in one append, one line each (not
+// fsynced: a span lost to a crash only trims the restored timeline, it never
+// affects results).
+func (j *Journal) Span(rs ...telemetry.SpanRecord) error {
+	if len(rs) == 0 {
+		return nil
+	}
+	es := make([]entry, len(rs))
+	for i := range rs {
+		es[i] = entry{Type: "span", Span: &rs[i]}
+	}
+	return j.append(false, es...)
 }
 
 // Result journals the terminal result record (fsynced).
 func (j *Journal) Result(r *ResultRecord, hits, misses uint64) error {
-	return j.append(entry{Type: "result", Result: r, CacheHits: hits, CacheMisses: misses}, true)
+	return j.append(true, entry{Type: "result", Result: r, CacheHits: hits, CacheMisses: misses})
 }
 
 // Close closes the journal and its step log, detaching them from the store.
@@ -499,17 +517,20 @@ type JobRecord struct {
 	Error    string
 
 	Request *RequestRecord
-	Trace   []core.TracePoint
-	Spans   []telemetry.SpanRecord
+	// Trace is derived from the result, else from the exploration state,
+	// else read from the trace records of an older store.
+	Trace []core.TracePoint
+	Spans []telemetry.SpanRecord
 	// Checkpoint is the latest durable exploration state (the snapshot with
-	// the step log folded onto it); nil for finished jobs and for jobs with
-	// no durable step.
+	// the step log folded onto it); nil for done jobs, whose result
+	// supersedes it, and for jobs with no durable step.
 	Checkpoint *core.ExplorerState
 	Result     *ResultRecord
 
 	CacheHits, CacheMisses uint64
 
-	// CorruptLines counts journal lines skipped during replay.
+	// CorruptLines counts journal lines skipped during replay, unreadable
+	// or over-long.
 	CorruptLines int
 }
 
@@ -560,8 +581,8 @@ func (s *Store) Replay() ([]*JobRecord, error) {
 	return recs, nil
 }
 
-// replayJob folds one job's journal (and exploration state, for unfinished
-// and timed-out jobs) into a record.
+// replayJob folds one job's journal (and exploration state, for every job
+// but a done one) into a record.
 func (s *Store) replayJob(id string) (*JobRecord, error) {
 	f, err := os.Open(s.jobPath(id, journalExt))
 	if err != nil {
@@ -570,27 +591,31 @@ func (s *Store) replayJob(id string) (*JobRecord, error) {
 	defer f.Close()
 
 	rec := &JobRecord{ID: id, State: "queued"}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	line := 0
-	// Trace points are keyed by exploration step: a job that crashed between
-	// journaling a trace point and its checkpoint re-journals that step after
-	// resuming, so replay keeps the first record per step (the duplicates are
-	// bit-identical — the walk is deterministic). Spans dedup by ID the same
-	// way.
+	// An older store's trace records are keyed by exploration step: a job
+	// that crashed between journaling a trace point and its checkpoint
+	// re-journaled that step after resuming, so replay keeps the first
+	// record per step (the duplicates are bit-identical — the walk is
+	// deterministic). Spans dedup by ID the same way: a resumed job
+	// journals its imported spans again.
+	var trace []core.TracePoint
 	seenSteps := make(map[int]bool)
 	seenSpans := make(map[uint64]bool)
-	for sc.Scan() {
+	err = scanLines(f, func(raw []byte, long bool) {
 		line++
-		raw := sc.Bytes()
+		if long {
+			rec.CorruptLines++
+			s.log.Warn("store: skipping record (over-long journal line)", "job", id, "line", line, "max", maxLine)
+			return
+		}
 		if len(raw) == 0 {
-			continue
+			return
 		}
 		var e entry
 		if err := json.Unmarshal(raw, &e); err != nil {
 			rec.CorruptLines++
 			s.log.Warn("store: skipping record (corrupt journal line)", "job", id, "line", line, "err", err)
-			continue
+			return
 		}
 		switch e.Type {
 		case "request":
@@ -608,12 +633,9 @@ func (s *Store) replayJob(id string) (*JobRecord, error) {
 		case "trace":
 			if e.Trace != nil && !seenSteps[e.Trace.Step] {
 				seenSteps[e.Trace.Step] = true
-				rec.Trace = append(rec.Trace, *e.Trace)
+				trace = append(trace, *e.Trace)
 			}
 		case "span":
-			// A job that resumed after a crash re-journals the stages it
-			// replays; keep the first record per span ID (they describe the
-			// same deterministic work).
 			if e.Span != nil && !seenSpans[e.Span.ID] {
 				seenSpans[e.Span.ID] = true
 				rec.Spans = append(rec.Spans, *e.Span)
@@ -625,10 +647,10 @@ func (s *Store) replayJob(id string) (*JobRecord, error) {
 			rec.CorruptLines++
 			s.log.Warn("store: skipping unknown journal record type", "job", id, "line", line, "type", e.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		// A torn tail (e.g. crash mid-append past the scanner's buffer) loses
-		// the remainder of the journal, not the whole job.
+	})
+	if err != nil {
+		// An unreadable tail loses the remainder of the journal, not the
+		// whole job.
 		rec.CorruptLines++
 		s.log.Warn("store: truncating journal replay", "job", id, "line", line, "err", err)
 	}
@@ -638,12 +660,58 @@ func (s *Store) replayJob(id string) (*JobRecord, error) {
 	if rec.Created.IsZero() {
 		rec.Created = time.Now().UTC()
 	}
-	// Unfinished jobs need their checkpoint to resume; timed-out jobs keep
-	// theirs as the durable record of the best-so-far frontier.
-	if !rec.Terminal() || rec.State == "timeout" {
+	// A done job is served from its result; every other job keeps its
+	// exploration state, to resume from or to serve what its walk reached.
+	if rec.State != "done" {
 		rec.Checkpoint = s.loadCheckpoint(id)
 	}
+	switch {
+	case rec.Result != nil:
+		walk := core.ExplorerState{Steps: rec.Result.Steps, AccurateModelArea: rec.Result.AccurateModelArea}
+		rec.Trace = walk.TracePoints()
+	case rec.Checkpoint != nil:
+		rec.Trace = rec.Checkpoint.TracePoints()
+	default:
+		rec.Trace = trace
+	}
 	return rec, nil
+}
+
+// maxLine caps the bytes of one journal or step-log line, newline included,
+// that replay reads; a longer line is skipped whole.
+var maxLine = 64 << 20
+
+// scanLines calls fn with each line of r, without its newline. A line longer
+// than maxLine is not held: fn gets it as nil with long set, and reading
+// goes on with the next line. The error is a read error of r.
+func scanLines(r io.Reader, fn func(line []byte, long bool)) error {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var line []byte
+	long := false
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if long || len(line)+len(chunk) > maxLine {
+			line, long = line[:0], true
+		} else {
+			line = append(line, chunk...)
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue // the line goes on
+		case err != nil && err != io.EOF:
+			return err
+		}
+		switch {
+		case long:
+			fn(nil, true)
+		case len(line) > 0:
+			fn(bytes.TrimSuffix(line, []byte("\n")), false)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		line, long = line[:0], false
+	}
 }
 
 // Remove deletes every record of a job — its journal and step log (closing
@@ -675,8 +743,8 @@ func (s *Store) Remove(id string) error {
 }
 
 // RemoveCheckpoint deletes a job's exploration state: its step log and its
-// snapshot (done once the job reaches a terminal state: the journal's result
-// record supersedes them).
+// snapshot (done once the job is done: the journal's result record
+// supersedes them).
 func (s *Store) RemoveCheckpoint(id string) error {
 	if err := validID(id); err != nil {
 		return err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -173,6 +174,82 @@ func TestReplaySkipsCorruptLines(t *testing.T) {
 	}
 	if !strings.Contains(warnings.String(), "skipping record") {
 		t.Fatalf("corrupt lines were skipped silently; want a logged warning, got %q", warnings.String())
+	}
+}
+
+// TestReplayReadsPastOverLongLine: a line longer than replay reads is
+// skipped and counted, and replay reads on, so a journal's later records
+// and a step log's later records still fold. Before, replay stopped at such
+// a line: a job done after it replayed as running, and re-ran from step 0
+// because its step log was gone.
+func TestReplayReadsPastOverLongLine(t *testing.T) {
+	s := openTestStore(t)
+	s.SetSlogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	states := walkStates(t, "Adder32", false)
+	req, err := NewRequestRecord(smallCircuit(), qor.Unsigned("s", 4), core.Config{}, "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, err := s.Journal("job-long")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Request(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.State("running", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Checkpoint(&states[0], Position{}); err != nil {
+		t.Fatal(err)
+	}
+	// The cap is lowered past every record written here, and one line of
+	// each file is longer than it.
+	defer func(n int) { maxLine = n }(maxLine)
+	maxLine = 0
+	for _, ext := range []string{journalExt, stepsExt} {
+		data, err := os.ReadFile(filepath.Join(s.Dir(), jobsSubdir, "job-long"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.SplitAfter(string(data), "\n") {
+			maxLine = max(maxLine, len(line)+1024)
+		}
+	}
+	long := strings.Repeat("x", 2*maxLine) + "\n"
+	for _, ext := range []string{journalExt, stepsExt} {
+		f, err := os.OpenFile(filepath.Join(s.Dir(), jobsSubdir, "job-long"+ext), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(long); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if err := jnl.Checkpoint(&states[1], PositionOf(&states[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.State("cancelled", ""); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := s.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("Replay returned %d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.State != "cancelled" || rec.CorruptLines != 1 {
+		t.Fatalf("replayed %s with %d corrupt lines, want cancelled with 1", rec.State, rec.CorruptLines)
+	}
+	if got := PositionOf(rec.Checkpoint); got != PositionOf(&states[1]) {
+		t.Fatalf("step log folds to %+v, want %+v", got, PositionOf(&states[1]))
+	}
+	if len(rec.Trace) != 2 {
+		t.Fatalf("trace has %d points, want 2 (one per folded step)", len(rec.Trace))
 	}
 }
 
