@@ -66,7 +66,7 @@ func main() {
 		semiring     = flag.String("semiring", "or", "decompressor algebra: or, xor")
 		full         = flag.Bool("full", false, "explore the full trade-off past the threshold")
 		maxSteps     = flag.Int("max-steps", 0, "cap exploration steps (0 = unlimited)")
-		lazy         = flag.Bool("lazy", false, "lazy-greedy exploration: a faster heuristic whose walk can differ from the exhaustive one")
+		lazy         = flag.Bool("lazy", false, "lazy-greedy exploration: a faster heuristic whose walk can differ from the exhaustive one (but not with -workers)")
 		workers      = flag.Int("workers", 0, "candidate-sweep worker shards per exploration step (0 = GOMAXPROCS; results are identical for any value)")
 		tracePath    = flag.String("trace", "", "write the exploration trace as CSV")
 		frontierPath = flag.String("frontier", "", "write the evaluated accuracy/area frontier (suffix .json, else CSV)")

@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
-	"github.com/blasys-go/blasys/internal/espresso"
 	"github.com/blasys-go/blasys/internal/logic"
 )
 
@@ -359,18 +357,4 @@ func sanitize(s, fallback string) string {
 		out = "s_" + out
 	}
 	return out
-}
-
-// WritePLA emits a two-level cover in Berkeley PLA format — handy for
-// inspecting espresso results.
-func WritePLA(w io.Writer, cv *espresso.Cover, outName string) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".i %d\n.o 1\n.ob %s\n.p %d\n", cv.NumVars, sanitize(outName, "f"), len(cv.Cubes))
-	cubes := append([]espresso.Cube(nil), cv.Cubes...)
-	sort.Slice(cubes, func(i, j int) bool { return cubes[i].PLA(cv.NumVars) < cubes[j].PLA(cv.NumVars) })
-	for _, c := range cubes {
-		fmt.Fprintf(bw, "%s 1\n", c.PLA(cv.NumVars))
-	}
-	fmt.Fprintln(bw, ".e")
-	return bw.Flush()
 }

@@ -60,30 +60,29 @@ type ExplorerState struct {
 	// Resume refuses a state whose digest does not match the resuming
 	// Config, since continuing under different evaluation rules would splice
 	// two unrelated walks. Stopping criteria (Threshold, MaxSteps,
-	// ExploreFully) and the Workers sweep scheduling are deliberately
-	// excluded: resuming with a larger budget to walk further is
-	// legitimate, and the sharded sweep is bit-identical at any worker
-	// count.
-	// Parallelism is included for lazy runs only — there it sets the
-	// stale-refresh batch size, which shapes the trajectory.
+	// ExploreFully) and the scheduling knobs (Parallelism, Workers) are
+	// deliberately excluded: resuming with a larger budget to walk further is
+	// legitimate, and both explorers walk bit-identically at any parallelism
+	// or worker count.
 	ConfigDigest string `json:"config_digest"`
 }
 
 // LazyExplorerState is the lazy-greedy explorer's cross-step memory: the
-// cached candidate error estimates and the commit version counter they are
-// validated against.
+// cached candidate error estimates. Version is the committed step count
+// they were captured at (ExplorerState.Step).
 type LazyExplorerState struct {
 	Version    int             `json:"version"`
 	Candidates []LazyCandidate `json:"candidates"`
 }
 
-// LazyCandidate is one block's cached estimate in the lazy explorer.
+// LazyCandidate is one block's cached estimate in the lazy explorer. Its
+// model area after the commit is that of its frontier point.
 type LazyCandidate struct {
 	BlockIndex int        `json:"block_index"`
 	Error      float64    `json:"error"`
 	Report     qor.Report `json:"report"`
-	// Version is the commit version the estimate was measured at (-1 =
-	// never measured).
+	// Version is the committed step count the estimate was measured at
+	// (-1 = never measured).
 	Version int `json:"version"`
 	// PointIndex is the frontier index of the latest measurement (-1 =
 	// none).
@@ -100,13 +99,6 @@ func configDigest(cfg Config) string {
 	fmt.Fprintf(h, " tau=%v", cfg.TauSweep)
 	if cfg.Sequence != nil {
 		fmt.Fprintf(h, " seq=%d:%v", cfg.Sequence.Steps, cfg.Sequence.Feedback)
-	}
-	if cfg.Lazy {
-		// The lazy explorer's stale-refresh batch cap is Parallelism, and
-		// batch size changes which candidates get fresh estimates — i.e. the
-		// trajectory (see exploreLazy). Exhaustive walks are
-		// Parallelism-independent, so the digest only pins it for lazy runs.
-		fmt.Fprintf(h, " par=%d", cfg.Parallelism)
 	}
 	// The library's areas drive the greedy tie-breaks and the frontier, so
 	// resuming under a different library would splice incompatible walks.
@@ -160,14 +152,6 @@ func captureState(res *Result, degrees []int, step int, cfg Config, lazy *LazyEx
 		ConfigDigest:      configDigest(cfg),
 		CircuitDigest:     circuitDigest(res.Circuit),
 	}
-}
-
-// checkpoint invokes the Checkpoint hook, if any, with a fresh snapshot.
-func checkpoint(res *Result, degrees []int, step int, cfg Config, lazy *LazyExplorerState) {
-	if cfg.Checkpoint == nil {
-		return
-	}
-	cfg.Checkpoint(captureState(res, degrees, step, cfg, lazy))
 }
 
 // Validate checks the state's internal consistency (degree/step bookkeeping)

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/blasys-go/blasys/internal/bench"
+	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/qor"
 )
 
@@ -129,15 +131,17 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestWorkersExcludedFromDigest pins that Workers, a pure scheduling knob,
-// does not change the checkpoint config digest — a run checkpointed at one
-// worker count must resume at any other.
+// TestWorkersExcludedFromDigest pins that Workers and Parallelism, pure
+// scheduling knobs for both explorers, do not change the checkpoint config
+// digest — a run checkpointed at one setting must resume at any other.
 func TestWorkersExcludedFromDigest(t *testing.T) {
-	base := Config{K: 6, M: 4, Samples: 1 << 10, Seed: 17}.withDefaults()
-	wide := base
-	wide.Workers = 9
-	if configDigest(base) != configDigest(wide) {
-		t.Fatal("Workers changed the config digest; scheduling knobs must not")
+	for _, lazy := range []bool{false, true} {
+		base := Config{K: 6, M: 4, Samples: 1 << 10, Seed: 17, Lazy: lazy}.withDefaults()
+		wide := base
+		wide.Workers, wide.Parallelism = 9, base.Parallelism+3
+		if configDigest(base) != configDigest(wide) {
+			t.Fatalf("lazy=%t: Workers or Parallelism changed the config digest; scheduling knobs must not", lazy)
+		}
 	}
 }
 
@@ -210,34 +214,46 @@ func TestResumeRejectsDifferentCircuit(t *testing.T) {
 	}
 }
 
-// TestLazyResumeAcrossParallelismIsRejected: the lazy stale-refresh batch
-// cap is Parallelism, which shapes the trajectory, so the digest must pin it
-// for lazy runs (and must NOT pin it for exhaustive runs, where any
-// parallelism yields identical results).
-func TestLazyResumeAcrossParallelismIsRejected(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Lazy = true
-	cfg.Parallelism = 2
-	_, states := runWithCheckpoints(t, cfg)
-
-	circ := arrayMult(3)
-	spec := qor.Unsigned("p", len(circ.Outputs))
-	bad := cfg
-	bad.Checkpoint = nil
-	bad.Parallelism = 1
-	bad.Resume = &states[0]
-	if _, err := Approximate(circ, spec, bad); err == nil {
-		t.Fatal("lazy resume under a different Parallelism was not rejected")
+// TestLazyResumeAcrossParallelism: no lazy result depends on Parallelism or
+// Workers, so a lazy Mult8 walk checkpointed at one setting and resumed from
+// several of its steps under others (through the serialized form) must
+// reproduce the uninterrupted walk byte for byte: steps, frontier, best step
+// and best circuit.
+func TestLazyResumeAcrossParallelism(t *testing.T) {
+	m := bench.Mult8()
+	cache := bmf.NewMemoryCache()
+	base := Config{Samples: 1 << 11, Seed: 1, Lazy: true, Cache: cache}
+	cfg := base
+	cfg.Parallelism, cfg.Workers = 2, 2
+	var states []ExplorerState
+	cfg.Checkpoint = func(st ExplorerState) { states = append(states, st) }
+	full, err := Approximate(m.Circ, m.Spec, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ex := quickCfg()
-	ex.Parallelism = 2
-	_, exStates := runWithCheckpoints(t, ex)
-	ok := ex
-	ok.Checkpoint = nil
-	ok.Parallelism = 1
-	ok.Resume = &exStates[0]
-	if _, err := Approximate(circ, spec, ok); err != nil {
-		t.Fatalf("exhaustive resume under a different Parallelism was rejected: %v", err)
+	if len(states) < 20 {
+		t.Fatalf("walk too short (%d steps) to exercise resume", len(states))
+	}
+	for k := 0; k < len(states); k += 7 {
+		for _, pw := range [][2]int{{1, 1}, {8, 8}, {4, 1}} {
+			var buf bytes.Buffer
+			if _, err := states[k].WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			st, err := ReadExplorerState(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcfg := base
+			rcfg.Parallelism, rcfg.Workers, rcfg.Resume = pw[0], pw[1], st
+			resumed, err := Approximate(m.Circ, m.Spec, rcfg)
+			if err != nil {
+				t.Fatalf("resume at step %d under parallelism/workers %d/%d: %v", k, pw[0], pw[1], err)
+			}
+			assertSameRun(t, full, resumed, k)
+			if !bytes.Equal(resultBLIF(t, full), resultBLIF(t, resumed)) {
+				t.Fatalf("resume at step %d under parallelism/workers %d/%d: best circuit differs", k, pw[0], pw[1])
+			}
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,19 +73,22 @@ type Config struct {
 	ExploreFully bool
 	// MaxSteps caps exploration iterations (0 = unlimited).
 	MaxSteps int
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS).
+	// Parallelism bounds the block-profiling goroutines (0 = GOMAXPROCS)
+	// and is the default for Workers. No result depends on it.
 	Parallelism int
-	// Workers bounds the explorer's per-step candidate-sweep worker pool
+	// Workers bounds the explorer's candidate-sweep worker pool
 	// (0 = Parallelism, whose default is GOMAXPROCS). Each worker claims
-	// the step's next unevaluated candidate until none is left; results
-	// land in per-candidate slots and are reduced under a fixed total order
-	// on (error, area, block index), so any worker count and any claim
-	// order produce bit-identical results. The same workers then run the
-	// committed step's sample batches (qor.IncrementalComparer.Commit), each
-	// claiming chunks of batches; each batch writes only its own state. Extra
-	// workers draw goroutine tokens from the machine-wide budget shared with
-	// the BMF tau sweep (internal/sched.Claim); when none is free the calling
-	// goroutine does the whole sweep or commit.
+	// the sweep's next unevaluated candidate until none is left; results
+	// land in per-candidate slots and are consumed in a fixed order, so any
+	// worker count and any claim order produce bit-identical results. The
+	// same workers then run the committed step's sample batches
+	// (qor.IncrementalComparer.Commit), each claiming chunks of batches; each
+	// batch writes only its own state. Extra workers draw goroutine tokens
+	// from the machine-wide budget shared with the BMF tau sweep
+	// (internal/sched.Claim); when none is free the calling goroutine does
+	// the whole sweep or commit. Workers also sets how far the lazy explorer
+	// looks ahead (up to Workers stale candidates per sweep); it never
+	// changes the lazy walk.
 	Workers int
 	// SynthExact uses exact two-level minimization for block synthesis.
 	SynthExact bool
@@ -94,12 +98,14 @@ type Config struct {
 	// (multi-cycle error, used for MAC/SAD).
 	Sequence *qor.Sequence
 	// Lazy switches the exploration to lazy greedy, a faster heuristic than
-	// Algorithm 1: candidate errors are cached and only the smallest stale
-	// estimates are re-evaluated, at a fraction of the simulations. Its walk
-	// can differ from the exhaustive sweep's (on Mult8 and SAD at 2^13
-	// samples, with equal best areas; at paper defaults lazy's best area is
-	// worse on MAC and FIR). Default off (paper-literal exhaustive
-	// re-evaluation).
+	// Algorithm 1: each candidate's last measurement stands as its estimate
+	// after a commit, and only a leading stale estimate is re-measured, at a
+	// fraction of the simulations. Its walk can differ from the exhaustive
+	// sweep's, and its best area with it: at 5% and seed 1, equal on
+	// Adder32 and SAD and worse on Mult8 (0.855 against 0.852 of the
+	// accurate area) at 2^13 samples, and worse on MAC and FIR at paper
+	// defaults. No result depends on Workers or Parallelism. Default off
+	// (paper-literal exhaustive re-evaluation).
 	Lazy bool
 	// Progress, when non-nil, receives one TracePoint per committed
 	// exploration step, in commit order, called synchronously from the
@@ -236,8 +242,9 @@ type Result struct {
 	// AccurateModelArea is the sum of accurate block areas (the model's
 	// area at step -1).
 	AccurateModelArea float64
-	// BestStep indexes the step chosen under the threshold (-1 if even the
-	// first step exceeded it, meaning the accurate circuit is returned).
+	// BestStep indexes the step chosen under the threshold (-1 if no step
+	// within it has a smaller model area than the accurate circuit, which is
+	// then returned).
 	BestStep int
 	// Frontier records every (error, area) point the exploration evaluated
 	// — committed steps and losing sweep candidates alike — and maintains
@@ -592,7 +599,12 @@ func profileBlock(ctx context.Context, c *logic.Circuit, b partition.Block, colW
 	return p, nil
 }
 
-// explore is Alg. 1's circuit-space exploration (lines 12–22).
+// explore is Alg. 1's circuit-space exploration (lines 12–22): each step
+// commits the candidate that comes first in the candidate order (see
+// candidate.less). The exhaustive explorer measures every candidate at every
+// step; the lazy one measures only while a stale estimate leads (see
+// pickLazy). Both walk one step loop, so they share its frontier, commit,
+// checkpoint and stop rule.
 func explore(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config) error {
 	exp := cfg.Span.Child("explore")
 	defer func() {
@@ -617,263 +629,214 @@ func explore(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config
 			Step: -1, BlockIndex: -1, ModelArea: res.AccurateModelArea,
 		}))
 	}
+	e := &explorer{ctx: ctx, res: res, ce: ce, cfg: cfg, degrees: res.DegreesAt(len(res.Steps) - 1),
+		shards: ce.shards(cfg.Workers), cands: initialCandidates(res, cfg.Resume)}
+	pick := e.pickExhaustive
 	if cfg.Lazy {
-		return exploreLazy(ctx, res, ce, cfg, startStep)
+		pick = e.pickLazy
 	}
-	return exploreExhaustive(ctx, res, ce, cfg, startStep)
-}
-
-// committedDegrees initializes the degree vector: accurate everywhere, then
-// the committed steps (empty unless resuming) applied on top.
-func committedDegrees(res *Result) []int {
-	degrees := make([]int, len(res.Profiles))
-	for bi, p := range res.Profiles {
-		degrees[bi] = p.MaxDegree()
-	}
-	for _, s := range res.Steps {
-		degrees[s.BlockIndex] = s.NewDegree
-	}
-	return degrees
-}
-
-// commitStep appends a committed exploration step and streams it to the
-// Progress hook.
-func (r *Result) commitStep(s Step, cfg Config) {
-	r.Steps = append(r.Steps, s)
-	mSteps.Inc()
-	if cfg.Progress != nil {
-		cfg.Progress(r.tracePointAt(len(r.Steps) - 1))
-	}
-}
-
-// exploreLazy is the lazy-greedy variant: each candidate (block at its next
-// degree) keeps the error measured the last time it was evaluated; only the
-// smallest stale estimate is re-measured before committing.
-func exploreLazy(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config, startStep int) error {
-	degrees := committedDegrees(res)
-	type cand struct {
-		bi      int
-		err     float64
-		report  qor.Report
-		version int // state version the estimate was computed at
-		ptIdx   int // frontier index of the latest measurement
-	}
-	version := 0
-	var cands []*cand
-	if cfg.Resume != nil && cfg.Resume.Lazy != nil {
-		// Restore the candidate estimates in their checkpointed slice order:
-		// the order is load-bearing (sort.Slice tie-breaking), so a resumed
-		// run must see the same sequence the uninterrupted run had.
-		version = cfg.Resume.Lazy.Version
-		for _, lc := range cfg.Resume.Lazy.Candidates {
-			cands = append(cands, &cand{
-				bi: lc.BlockIndex, err: lc.Error, report: lc.Report,
-				version: lc.Version, ptIdx: lc.PointIndex,
-			})
-		}
-	} else {
-		for bi, p := range res.Profiles {
-			if p.MaxDegree()-1 >= 1 && len(p.Variants) >= p.MaxDegree()-1 {
-				cands = append(cands, &cand{bi: bi, err: -1, version: -1, ptIdx: -1})
-			}
-		}
-	}
-	shards := ce.shards(cfg.Workers)
-	measure := func(step int, batch []*cand) error {
-		bis := make([]int, len(batch))
-		for i, cd := range batch {
-			bis[i] = cd.bi
-		}
-		results := runSweep(ctx, shards, degrees, bis)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i, cd := range batch {
-			r := &results[i]
-			if r.err != nil {
-				return r.err
-			}
-			cd.report = r.report
-			cd.err = r.report.Value(cfg.Metric)
-			cd.version = version
-			degrees[cd.bi]--
-			area := res.modelArea(degrees)
-			degrees[cd.bi]++
-			cd.ptIdx = res.Frontier.add(FrontierPoint{
-				Error:      cd.err,
-				ModelArea:  area,
-				Step:       step,
-				BlockIndex: cd.bi,
-				Degree:     degrees[cd.bi] - 1,
-			})
-		}
-		return nil
-	}
-
 	for step := startStep; cfg.MaxSteps == 0 || step < cfg.MaxSteps; step++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Drop exhausted candidates.
-		live := cands[:0]
-		for _, cd := range cands {
-			if next := degrees[cd.bi] - 1; next >= 1 && next <= len(res.Profiles[cd.bi].Variants) {
-				live = append(live, cd)
+		// Drop blocks whose degree can no longer be decremented; degrees only
+		// fall, so a dropped block never returns.
+		live := e.cands[:0]
+		for _, c := range e.cands {
+			if next := e.degrees[c.bi] - 1; next >= 1 && next <= len(res.Profiles[c.bi].Variants) {
+				live = append(live, c)
 			}
 		}
-		cands = live
-		if len(cands) == 0 {
+		e.cands = live
+		if len(e.cands) == 0 {
 			break
 		}
 		stepSpan := cfg.Span.Child("step")
 		stepSpan.SetAttr("step", step)
-		stepSpan.SetAttr("candidates", len(cands))
-		var chosen *cand
-		for {
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].err != cands[j].err {
-					return cands[i].err < cands[j].err
-				}
-				// Prefer fresh entries on ties so a stale optimistic
-				// estimate cannot shadow an equal measured error.
-				return cands[i].version == version && cands[j].version != version
-			})
-			if cands[0].version == version {
-				chosen = cands[0]
-				break
-			}
-			// Refresh the most promising stale candidates in one batch.
-			// The batch cap stays tied to Parallelism, not Workers: batch
-			// size changes which candidates get fresh estimates and hence
-			// the lazy trajectory, while Workers must remain a pure
-			// scheduling choice (bit-identical results at any value).
-			var stale []*cand
-			for _, cd := range cands {
-				if cd.version != version {
-					stale = append(stale, cd)
-					if len(stale) == cfg.Parallelism {
-						break
-					}
-				}
-			}
-			if err := measure(step, stale); err != nil {
-				stepSpan.End()
-				return err
-			}
+		stepSpan.SetAttr("candidates", len(e.cands))
+		chosen, err := pick(step)
+		if err == nil {
+			err = e.commit(chosen)
 		}
-		res.Frontier.markCommitted(chosen.ptIdx)
-		degrees[chosen.bi]--
-		version++
-		if err := ce.commit(chosen.bi, degrees[chosen.bi]); err != nil {
+		if err != nil {
 			stepSpan.End()
 			return err
 		}
-		res.commitStep(Step{
-			BlockIndex: chosen.bi,
-			NewDegree:  degrees[chosen.bi],
-			Report:     chosen.report,
-			ModelArea:  res.modelArea(degrees),
-		}, cfg)
-		// The committed block's next decrement inherits the fresh report as
-		// an optimistic estimate; everything else keeps its old estimate.
-		chosen.version = -1
-		if cfg.Checkpoint != nil {
-			ls := &LazyExplorerState{Version: version}
-			for _, cd := range cands {
-				ls.Candidates = append(ls.Candidates, LazyCandidate{
-					BlockIndex: cd.bi, Error: cd.err, Report: cd.report,
-					Version: cd.version, PointIndex: cd.ptIdx,
-				})
-			}
-			checkpoint(res, degrees, len(res.Steps), cfg, ls)
-		}
 		stepSpan.SetAttr("block", chosen.bi)
-		stepSpan.SetAttr("degree", degrees[chosen.bi])
+		stepSpan.SetAttr("degree", e.degrees[chosen.bi])
 		stepSpan.End()
-		if !cfg.ExploreFully && chosen.report.Value(cfg.Metric) >= cfg.Threshold {
+		if !cfg.ExploreFully && chosen.err >= cfg.Threshold {
 			break
 		}
 	}
 	return nil
 }
 
-// exploreExhaustive re-evaluates every candidate each iteration, exactly as
-// Algorithm 1 is written. The per-step sweep is sharded across cfg.Workers
-// worker shards (runSweep) and reduced serially under the fixed
-// (error, area, block index) order, so every worker count commits the same
-// trajectory and records the same frontier.
-func exploreExhaustive(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config, startStep int) error {
-	degrees := committedDegrees(res)
-	shards := ce.shards(cfg.Workers)
+// candidate is one block's next decrement and its latest measurement, which
+// the lazy explorer keeps as an estimate once a commit has made it stale.
+type candidate struct {
+	bi     int
+	report qor.Report
+	err    float64 // report's value under the metric; -1 before any measurement
+	area   float64 // model area after committing the candidate, when measured
+	at     int     // committed step count the measurement was made at (-1 = none)
+	pt     int     // frontier index of the measurement (-1 = none)
+}
 
-	for step := startStep; cfg.MaxSteps == 0 || step < cfg.MaxSteps; step++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Candidates: blocks whose degree can still be decremented.
-		var cands []int
-		for bi, p := range res.Profiles {
-			next := degrees[bi] - 1
-			if next < 1 || next > len(p.Variants) {
-				continue
+// less is the explorer's one total order on candidates: error, then model
+// area after the commit, then block index, all ascending. The block index
+// makes it total, so no result depends on sort stability, slice order, or
+// which worker measured what.
+func (c *candidate) less(d *candidate) bool {
+	if c.err != d.err {
+		return c.err < d.err
+	}
+	if c.area != d.area {
+		return c.area < d.area
+	}
+	return c.bi < d.bi
+}
+
+// initialCandidates returns one candidate per block in block order, or the
+// estimates a resumed lazy walk checkpointed (their order is immaterial: the
+// lazy explorer sorts them under the total order).
+func initialCandidates(res *Result, st *ExplorerState) []*candidate {
+	var cs []*candidate
+	if st != nil && st.Lazy != nil {
+		for _, lc := range st.Lazy.Candidates {
+			c := &candidate{bi: lc.BlockIndex, report: lc.Report, err: lc.Error, at: lc.Version, pt: lc.PointIndex}
+			if c.pt >= 0 {
+				c.area = res.Frontier.points[c.pt].ModelArea
 			}
-			cands = append(cands, bi)
+			cs = append(cs, c)
 		}
-		if len(cands) == 0 {
+		return cs
+	}
+	for bi := range res.Profiles {
+		cs = append(cs, &candidate{bi: bi, err: -1, at: -1, pt: -1})
+	}
+	return cs
+}
+
+// explorer is the state of one exploration walk.
+type explorer struct {
+	ctx     context.Context
+	res     *Result
+	ce      candidateEvaluator
+	cfg     Config
+	degrees []int // committed degree vector
+	shards  []candidateShard
+	cands   []*candidate // live candidates
+}
+
+// fresh reports whether c was measured on the current committed state.
+func (e *explorer) fresh(c *candidate) bool { return c.at == len(e.res.Steps) }
+
+// measure evaluates batch in one sharded sweep, then records the results in
+// batch order: estimate and frontier point. With lazy set, batch is a
+// leading run of the candidate order and a result is kept only while no
+// earlier result of the batch precedes its candidate; the first that one
+// does is discarded with every later result, errors included.
+func (e *explorer) measure(step int, batch []*candidate, lazy bool) error {
+	bis := make([]int, len(batch))
+	for i, c := range batch {
+		bis[i] = c.bi
+	}
+	results := runSweep(e.ctx, e.shards, e.degrees, bis)
+	if err := e.ctx.Err(); err != nil {
+		return err
+	}
+	for i, c := range batch {
+		if lazy && slices.ContainsFunc(batch[:i], func(d *candidate) bool { return d.less(c) }) {
 			break
 		}
-		stepSpan := cfg.Span.Child("step")
-		stepSpan.SetAttr("step", step)
-		stepSpan.SetAttr("candidates", len(cands))
-		results := runSweep(ctx, shards, degrees, cands)
-		if err := ctx.Err(); err != nil {
-			stepSpan.End()
-			return err
+		r := &results[i]
+		if r.err != nil {
+			return r.err
 		}
-		// Serial reduction in candidate order: record every evaluated point
-		// on the frontier and pick the winner deterministically.
-		red := newSweepReducer(cfg.Metric)
-		bestPt := -1
-		for i := range results {
-			r := &results[i]
-			if r.err != nil {
-				return r.err
-			}
-			degrees[r.bi]--
-			area := res.modelArea(degrees)
-			degrees[r.bi]++
-			pt := res.Frontier.add(FrontierPoint{
-				Error:      r.report.Value(cfg.Metric),
-				ModelArea:  area,
-				Step:       step,
-				BlockIndex: r.bi,
-				Degree:     degrees[r.bi] - 1,
-			})
-			if red.offer(i, r.report, area, r.bi) {
-				bestPt = pt
-			}
-		}
-		chosen := &results[red.best]
-		res.Frontier.markCommitted(bestPt)
-		degrees[chosen.bi]--
-		if err := ce.commit(chosen.bi, degrees[chosen.bi]); err != nil {
-			stepSpan.End()
-			return err
-		}
-		res.commitStep(Step{
-			BlockIndex: chosen.bi,
-			NewDegree:  degrees[chosen.bi],
-			Report:     chosen.report,
-			ModelArea:  res.modelArea(degrees),
-		}, cfg)
-		checkpoint(res, degrees, len(res.Steps), cfg, nil)
-		stepSpan.SetAttr("block", chosen.bi)
-		stepSpan.SetAttr("degree", degrees[chosen.bi])
-		stepSpan.End()
-		if !cfg.ExploreFully && chosen.report.Value(cfg.Metric) >= cfg.Threshold {
-			break
+		e.degrees[c.bi]--
+		c.area = e.res.modelArea(e.degrees)
+		c.report, c.err, c.at = r.report, r.report.Value(e.cfg.Metric), len(e.res.Steps)
+		c.pt = e.res.Frontier.add(FrontierPoint{
+			Error:      c.err,
+			ModelArea:  c.area,
+			Step:       step,
+			BlockIndex: c.bi,
+			Degree:     e.degrees[c.bi],
+		})
+		e.degrees[c.bi]++
+	}
+	return nil
+}
+
+// pickExhaustive is Algorithm 1 as written: a commit makes every measurement
+// stale, so every candidate is measured, in block order (the frontier's point
+// order), and the first in the candidate order wins.
+func (e *explorer) pickExhaustive(step int) (*candidate, error) {
+	if err := e.measure(step, e.cands, false); err != nil {
+		return nil, err
+	}
+	best := e.cands[0]
+	for _, c := range e.cands[1:] {
+		if c.less(best) {
+			best = c
 		}
 	}
+	return best, nil
+}
+
+// pickLazy is lazy greedy: a stale candidate's last measurement stands as its
+// estimate, and the leading candidate is measured until the leader is fresh.
+// To use the sweep's workers it measures the leading run of stale
+// candidates, up to len(shards), in one sweep, but keeps a result only while
+// its candidate would still lead: stale candidates keep their relative
+// order, so the next one leads unless a fresh measurement precedes it. The
+// walk, frontier included, is that of measuring one candidate at a time,
+// for every Workers and Parallelism.
+func (e *explorer) pickLazy(step int) (*candidate, error) {
+	for {
+		sort.Slice(e.cands, func(i, j int) bool { return e.cands[i].less(e.cands[j]) })
+		run := 0
+		for run < len(e.cands) && run < len(e.shards) && !e.fresh(e.cands[run]) {
+			run++
+		}
+		if run == 0 {
+			return e.cands[0], nil
+		}
+		if err := e.measure(step, e.cands[:run], true); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// commit applies the chosen candidate: it marks its frontier point, advances
+// the evaluator, records the step and checkpoints the walk. The committed
+// block's next decrement inherits the measurement as its estimate.
+func (e *explorer) commit(c *candidate) error {
+	res := e.res
+	res.Frontier.markCommitted(c.pt)
+	e.degrees[c.bi]--
+	if err := e.ce.commit(c.bi, e.degrees[c.bi]); err != nil {
+		return err
+	}
+	res.Steps = append(res.Steps, Step{BlockIndex: c.bi, NewDegree: e.degrees[c.bi], Report: c.report, ModelArea: c.area})
+	mSteps.Inc()
+	if e.cfg.Progress != nil {
+		e.cfg.Progress(res.tracePointAt(len(res.Steps) - 1))
+	}
+	if e.cfg.Checkpoint == nil {
+		return nil
+	}
+	var ls *LazyExplorerState
+	if e.cfg.Lazy {
+		ls = &LazyExplorerState{Version: len(res.Steps)}
+		for _, d := range e.cands {
+			ls.Candidates = append(ls.Candidates, LazyCandidate{
+				BlockIndex: d.bi, Error: d.err, Report: d.report, Version: d.at, PointIndex: d.pt,
+			})
+		}
+	}
+	e.cfg.Checkpoint(captureState(res, e.degrees, len(res.Steps), e.cfg, ls))
 	return nil
 }
 
@@ -931,10 +894,12 @@ func (r *Result) CircuitAt(step int) (*logic.Circuit, error) {
 }
 
 // selectBest picks the step with the smallest modeled area among steps whose
-// error is within the threshold.
+// error is within the threshold, and keeps the accurate circuit (step -1)
+// unless such a step's area is strictly smaller than the accurate model
+// area: under the asso basis a resynthesized step can outgrow it.
 func (r *Result) selectBest() {
 	r.BestStep = -1
-	bestArea := math.Inf(1)
+	bestArea := r.AccurateModelArea
 	for i, s := range r.Steps {
 		if s.Report.Value(r.Config.Metric) <= r.Config.Threshold && s.ModelArea < bestArea {
 			bestArea = s.ModelArea

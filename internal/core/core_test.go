@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"github.com/blasys-go/blasys/internal/bench"
+	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
@@ -312,5 +314,44 @@ func TestSequentialFlowOnAccumulator(t *testing.T) {
 	last := res.Steps[len(res.Steps)-1]
 	if last.Report.AvgRel <= 0 {
 		t.Error("sequential exploration reported zero error at full approximation")
+	}
+}
+
+// TestBestStepBeatsAccurateArea: the returned circuit is the accurate one
+// unless a step within the threshold has a strictly smaller model area, on
+// every benchmark under both bases. Under the asso basis a step's
+// resynthesized blocks can outgrow the accurate ones, so early steps fit the
+// threshold while their model area exceeds the accurate circuit's. The
+// selection does not depend on the explorer; the lazy one keeps this fast.
+func TestBestStepBeatsAccurateArea(t *testing.T) {
+	cache := bmf.NewMemoryCache()
+	for _, name := range bench.Names() {
+		c, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, basis := range []Basis{BasisColumns, BasisASSO} {
+			cfg := Config{Samples: 1 << 9, Seed: 1, Basis: basis, Lazy: true, Sequence: c.Seq, Cache: cache}
+			res, err := Approximate(c.Circ, c.Spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			within := func(s Step) bool { return s.Report.Value(cfg.Metric) <= res.Config.Threshold }
+			area := res.AccurateModelArea
+			if res.BestStep >= 0 {
+				best := res.Steps[res.BestStep]
+				if !within(best) || best.ModelArea >= area {
+					t.Errorf("%s/%s: best step %d has error %v and model area %v, accurate area %v", name, basis,
+						res.BestStep, best.Report.Value(cfg.Metric), best.ModelArea, area)
+				}
+				area = best.ModelArea
+			}
+			for i, s := range res.Steps {
+				if within(s) && s.ModelArea < area {
+					t.Errorf("%s/%s: step %d within the threshold has model area %v, below the returned %v",
+						name, basis, i, s.ModelArea, area)
+				}
+			}
+		}
 	}
 }

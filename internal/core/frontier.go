@@ -27,8 +27,8 @@ type FrontierPoint struct {
 	BlockIndex int `json:"block_index"`
 	Degree     int `json:"degree"`
 	// Committed marks points the explorer actually committed (the greedy
-	// trajectory); the rest are sweep evaluations that lost the reduction
-	// but still chart the trade-off space.
+	// trajectory); the rest are measured candidates that lost but still
+	// chart the trade-off space.
 	Committed bool `json:"committed"`
 }
 
@@ -41,12 +41,13 @@ func (p FrontierPoint) dominatedBy(q FrontierPoint) bool {
 // Frontier records every (error, area) point evaluated during exploration
 // and incrementally maintains the non-dominated subset — the full
 // accuracy/area trade-off frontier of the search, not just the greedy
-// trajectory. Points are added in a deterministic order (candidate order
-// within each step's sweep), so two runs of the same configuration produce
-// identical frontiers regardless of the sweep's worker count.
+// trajectory. Points are added in a deterministic order (the order the
+// explorer consumes each sweep's results in), so two runs of the same
+// configuration produce identical frontiers regardless of the sweep's
+// worker count.
 //
 // Frontier methods are not safe for concurrent use; the explorer adds points
-// from its serial reduction only.
+// serially, as it consumes sweep results.
 type Frontier struct {
 	accurateArea float64
 	points       []FrontierPoint

@@ -57,42 +57,3 @@ func runSweep(ctx context.Context, shards []candidateShard, degrees []int, bis [
 	})
 	return results
 }
-
-// sweepReducer is the deterministic reduction of a step's sweep: the best
-// candidate under the fixed total order (error, area-after-commit,
-// block index), all ascending. Because the order is total and every
-// candidate's evaluation is deterministic, the reduction picks the same
-// winner for any worker count — the parallel sweep is bit-identical to the
-// serial one.
-type sweepReducer struct {
-	metric   qor.Metric
-	best     int // index into the results being reduced, -1 before any
-	bestErr  float64
-	bestArea float64
-	bestBi   int
-}
-
-func newSweepReducer(metric qor.Metric) sweepReducer {
-	return sweepReducer{metric: metric, best: -1}
-}
-
-// offer considers candidate i with the given evaluated report and
-// area-after-commit; it returns true when i becomes the current winner.
-func (r *sweepReducer) offer(i int, rep qor.Report, area float64, bi int) bool {
-	v := rep.Value(r.metric)
-	if r.best >= 0 {
-		if v > r.bestErr {
-			return false
-		}
-		if v == r.bestErr {
-			if area > r.bestArea {
-				return false
-			}
-			if area == r.bestArea && bi > r.bestBi {
-				return false
-			}
-		}
-	}
-	r.best, r.bestErr, r.bestArea, r.bestBi = i, v, area, bi
-	return true
-}

@@ -5,11 +5,12 @@
 // and cooperative cancellation through core.ApproximateCtx.
 //
 // The design-space search BLASYS performs is embarrassingly parallel in two
-// dimensions — across candidate blocks within one run (core.Config
-// Parallelism) and across independent runs (this package's worker pool) —
-// and heavily repetitive across runs: resubmitting a benchmark, or two
-// circuits sharing subcircuit structure, re-derives identical truth tables.
-// The shared cache turns those repeats into lookups.
+// dimensions — across candidate blocks within one run (core.Config Workers,
+// which defaults to Parallelism) and across independent runs (this
+// package's worker pool) — and heavily repetitive across runs: resubmitting
+// a benchmark, or two circuits sharing subcircuit structure, re-derives
+// identical truth tables. The shared cache turns those repeats into lookups.
+// Neither kind of parallelism changes a job's result.
 //
 // The HTTP front end for this engine lives in server.go; the binary is
 // cmd/blasys-serve.
@@ -81,9 +82,11 @@ type Options struct {
 	// unbounded memory growth under heavy traffic).
 	QueueSize int
 	// JobParallelism overrides core.Config.Parallelism for every job whose
-	// config leaves it unset. With several workers sharing the machine,
-	// GOMAXPROCS per job oversubscribes; a serve deployment typically sets
-	// this to GOMAXPROCS / Workers.
+	// config leaves it unset, when the job runs. With several workers
+	// sharing the machine, GOMAXPROCS per job oversubscribes; a serve
+	// deployment typically sets this to GOMAXPROCS / Workers. It is a
+	// scheduling choice only: no job's result depends on it, so a restarted
+	// server may resume a job under another value.
 	JobParallelism int
 	// Cache is the shared factorization cache (nil = new MemoryCache).
 	Cache bmf.Cache
@@ -272,16 +275,8 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 		req.Circuit = circ
 		req.SourceBLIF = sb.String()
 	}
-	// Resolve the per-job parallelism NOW, not at run time: for durable
-	// engines the resolved value lands in the journal, so a restarted
-	// server with a different -workers flag (hence different
-	// JobParallelism) resumes the job under its original parallelism — a
-	// lazy walk's trajectory depends on it (see core.Config digest).
-	if req.Config.Parallelism <= 0 && e.opts.JobParallelism > 0 {
-		req.Config.Parallelism = e.opts.JobParallelism
-	}
 	// Content-addressed dedup: an identical retained submission (post-
-	// canonicalization, post-resolution, deadline included) answers this one.
+	// canonicalization, deadline included) answers this one.
 	var dedupKey string
 	if e.opts.Dedup {
 		dedupKey, err = digestRequest(req)

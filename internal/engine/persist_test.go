@@ -34,9 +34,10 @@ func persistCfg() core.Config {
 }
 
 // slowCfg is a longer walk for the interruption tests: the gap between the
-// first checkpoint and completion must be wide enough to land a kill in.
+// first checkpoint and completion must be wide enough to land a kill in. On
+// the 8-bit adder it walks 10 steps.
 func slowCfg() core.Config {
-	return core.Config{K: 4, M: 3, Samples: 1 << 10, Seed: 11, ExploreFully: true, MaxSteps: 12}
+	return core.Config{K: 6, M: 4, Samples: 1 << 10, Seed: 11, ExploreFully: true, MaxSteps: 12}
 }
 
 // blifBytes fetches the job's restart-stable result netlist.
@@ -205,7 +206,7 @@ func interruptedStore(t *testing.T, dir, id string, req *store.RequestRecord, k 
 
 func TestKillMidRunResumeIsByteIdenticalToUninterrupted(t *testing.T) {
 	// Reference: the identical job, uninterrupted (its own store).
-	jRef, reqRec := runReference(t, t.TempDir(), adderRequest(t, 5, slowCfg()))
+	jRef, reqRec := runReference(t, t.TempDir(), adderRequest(t, 8, slowCfg()))
 	wantBLIF := blifBytes(t, jRef)
 	wantSteps := jRef.Result().Steps
 	wantPoints := jRef.Frontier().Points()
@@ -214,6 +215,9 @@ func TestKillMidRunResumeIsByteIdenticalToUninterrupted(t *testing.T) {
 	dir := t.TempDir()
 	interruptedStore(t, dir, "job-interrupted", reqRec, 2)
 	const durable = 3
+	if len(wantSteps) <= durable {
+		t.Fatalf("reference walk has %d steps: no step left to resume into after %d", len(wantSteps), durable)
+	}
 	if got := replayedStep(t, dir, "job-interrupted"); got != durable {
 		t.Fatalf("replay folds the interrupted job to step %d, want %d", got, durable)
 	}
@@ -262,7 +266,7 @@ func TestKillMidRunResumeIsByteIdenticalToUninterrupted(t *testing.T) {
 // byte-identical to an uninterrupted run; the finished job keeps no step
 // records.
 func TestShutdownMidWalkResumesFromStepLog(t *testing.T) {
-	req := adderRequest(t, 5, slowCfg())
+	req := adderRequest(t, 8, slowCfg())
 	jRef, _ := runReference(t, t.TempDir(), req)
 	wantBLIF := blifBytes(t, jRef)
 	wantSteps := jRef.Result().Steps
@@ -273,6 +277,9 @@ func TestShutdownMidWalkResumesFromStepLog(t *testing.T) {
 	// enough to shut the engine down there: the append still lands, and the
 	// walk stops before its next step.
 	const durable = 3
+	if len(wantSteps) <= durable {
+		t.Fatalf("reference walk has %d steps: no step left to resume into after %d", len(wantSteps), durable)
+	}
 	inj := faults.New(1).Add(faults.Rule{
 		Op: faults.OpCheckpointWrite, After: durable - 1, Times: 1, Latency: time.Second})
 	st.SetFaults(inj)

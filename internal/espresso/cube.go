@@ -35,9 +35,6 @@ func (c Cube) NumLiterals() int {
 	return bits.OnesCount32(c.Pos) + bits.OnesCount32(c.Neg)
 }
 
-// Contradictory reports whether some variable appears in both phases.
-func (c Cube) Contradictory() bool { return c.Pos&c.Neg != 0 }
-
 // Covers reports whether the cube covers minterm r (variable i = bit i of r).
 func (c Cube) Covers(r uint32) bool {
 	return c.Pos&^r == 0 && c.Neg&r == 0

@@ -165,9 +165,6 @@ func permutations(n int) [][]uint8 {
 	return out
 }
 
-// Inverter returns the library's inverter cell index.
-func (lib *Library) Inverter() int { return lib.inv }
-
 // CellByName returns the index of the named cell, or -1.
 func (lib *Library) CellByName(name string) int {
 	for i, c := range lib.Cells {

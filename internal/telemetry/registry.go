@@ -12,7 +12,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -404,13 +403,6 @@ func (r *Registry) Snapshot() map[string]any {
 		f.mu.RUnlock()
 	}
 	return out
-}
-
-// WriteJSON writes the Snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // --- bucket helpers -------------------------------------------------------
