@@ -1,275 +1,26 @@
-// Benchmarks that regenerate every table and figure of the BLASYS paper
-// (DAC'18) in miniature: one testing.B target per experiment, each printing
-// the same rows/series the paper reports and attaching the headline numbers
-// as benchmark metrics. The full-size reproduction (1M-sample Monte Carlo)
-// lives in cmd/blasys-experiments; these targets use reduced sample counts
-// so `go test -bench=.` completes in minutes.
+// Root-package benchmarks: raw simulation throughput, the public API end to
+// end, and the engine's parallel-exploration and warm-cache numbers. The
+// paper's tables and figures come from the paper grids of internal/exp
+// (scripts/paper/, docs/EXPERIMENTS.md), not from benchmarks.
 package blasys_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/blasys-go/blasys"
 	"github.com/blasys-go/blasys/internal/bench"
-	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/engine"
 	"github.com/blasys-go/blasys/internal/logic"
-	"github.com/blasys-go/blasys/internal/partition"
-	"github.com/blasys-go/blasys/internal/qor"
-	"github.com/blasys-go/blasys/internal/salsa"
-	"github.com/blasys-go/blasys/internal/synth"
-	"github.com/blasys-go/blasys/internal/techmap"
 )
 
-const (
-	benchSamples = 1 << 13
-	benchSeed    = 1
-)
-
-// BenchmarkTable1 regenerates the accurate-design metrics table.
-func BenchmarkTable1(b *testing.B) {
-	lib := techmap.DefaultLibrary()
-	for i := 0; i < b.N; i++ {
-		for _, bm := range bench.All() {
-			mapped, err := techmap.Map(logic.ReorderDFS(bm.Circ), lib)
-			if err != nil {
-				b.Fatal(err)
-			}
-			met := mapped.Metrics(1<<12, benchSeed)
-			if i == 0 {
-				b.Logf("Table1 | %-8s | %d/%d | area %8.1f um^2 | power %7.1f uW | delay %.3f ns",
-					bm.Name, bm.Circ.NumInputs(), bm.Circ.NumOutputs(), met.Area, met.Power, met.Delay)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates the illustrative 4x4 factorization: Hamming
-// distance and synthesized area at f = 3, 2, 1 (paper: 3/6/13 and
-// 19.1/16.2/9.4 um^2 from 22.3).
-func BenchmarkFigure3(b *testing.B) {
-	lib := techmap.DefaultLibrary()
-	M := bench.Fig3Matrix()
-	for i := 0; i < b.N; i++ {
-		orig, err := synth.CircuitFromMatrix("fig3", M, synth.Options{Exact: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		origMapped, err := techmap.Map(orig, lib)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for f := 3; f >= 1; f-- {
-			res, err := bmf.Factorize(M, f, bmf.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			blk, err := synth.ApproxBlock(fmt.Sprintf("f%d", f), res, bmf.Or, synth.Options{Exact: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mapped, err := techmap.Map(blk, lib)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("Fig3 | f=%d | hamming %2d (paper %d) | area %.1f/%.1f um^2",
-					f, res.Hamming, map[int]int{3: 3, 2: 6, 1: 13}[f], mapped.Area(), origMapped.Area())
-			}
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates the weighted-vs-uniform QoR comparison on
-// Mult8: the weighted factorization must reach equal area at no higher
-// error.
-func BenchmarkFigure4(b *testing.B) {
-	bm := bench.Mult8()
-	for i := 0; i < b.N; i++ {
-		var area [2]float64
-		for vi, weighted := range []bool{false, true} {
-			res, err := core.Approximate(bm.Circ, bm.Spec, core.Config{
-				Samples: benchSamples, Seed: benchSeed, Weighted: weighted,
-				Threshold: 0.05,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			best := 1.0
-			for _, s := range res.Steps {
-				if s.Report.AvgRel <= 0.05 {
-					if a := s.ModelArea / res.AccurateModelArea; a < best {
-						best = a
-					}
-				}
-			}
-			area[vi] = best
-		}
-		if i == 0 {
-			b.Logf("Fig4 | Mult8 norm area at 5%% rel err: UQoR %.3f, WQoR %.3f", area[0], area[1])
-			reportMetric(b, area[0], "uqor-area")
-			reportMetric(b, area[1], "wqor-area")
-		}
-	}
-}
-
-// BenchmarkFigure5 regenerates one trade-off trace per benchmark (miniature:
-// step-capped) and reports the reachable normalized area.
-func BenchmarkFigure5(b *testing.B) {
-	for _, bm := range bench.All() {
-		bm := bm
-		b.Run(bm.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Approximate(bm.Circ, bm.Spec, core.Config{
-					Samples: benchSamples, Seed: benchSeed,
-					ExploreFully: true, MaxSteps: 30, Sequence: bm.Seq,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					last := res.Steps[len(res.Steps)-1]
-					b.Logf("Fig5 | %-8s | %d steps | area %.3f | avg-rel %.4f | norm-avg-abs %.3g",
-						bm.Name, len(res.Steps), last.ModelArea/res.AccurateModelArea,
-						last.Report.AvgRel, last.Report.NormAvgAbs)
-					reportMetric(b, last.ModelArea/res.AccurateModelArea, "norm-area")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable2 regenerates the 5%-threshold savings table (miniature).
-func BenchmarkTable2(b *testing.B) {
-	lib := techmap.DefaultLibrary()
-	paper := map[string]float64{"Adder32": 44.78, "Mult8": 28.77, "BUT": 7.87,
-		"MAC": 47.55, "SAD": 32.80, "FIR": 19.52}
-	for _, bm := range bench.All() {
-		bm := bm
-		b.Run(bm.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				accurate, err := techmap.Map(logic.ReorderDFS(bm.Circ), lib)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := core.Approximate(bm.Circ, bm.Spec, core.Config{
-					Samples: benchSamples, Seed: benchSeed, Threshold: 0.05,
-					Lib: lib, Sequence: bm.Seq, MaxSteps: 120,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				met, rep, err := res.FinalMetrics(res.BestStep, benchSamples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					sav := 100 * (accurate.Area() - met.Area) / accurate.Area()
-					b.Logf("Table2 | %-8s | area savings %5.1f%% (paper %5.1f%%) at %.3f rel err",
-						bm.Name, sav, paper[bm.Name], rep.AvgRel)
-					reportMetric(b, sav, "area-savings-%")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable3 regenerates the BLASYS-vs-SALSA comparison at the 5%
-// threshold (miniature; the 25% row runs in cmd/blasys-experiments).
-func BenchmarkTable3(b *testing.B) {
-	lib := techmap.DefaultLibrary()
-	for _, name := range []string{"Mult8", "BUT"} {
-		bm, err := bench.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				accurate, err := techmap.Map(logic.ReorderDFS(bm.Circ), lib)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := core.Approximate(bm.Circ, bm.Spec, core.Config{
-					Samples: benchSamples, Seed: benchSeed, Threshold: 0.05, Lib: lib,
-					Sequence: bm.Seq,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				met, _, err := res.FinalMetrics(res.BestStep, benchSamples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sres, err := salsa.Approximate(bm.Circ, bm.Spec, salsa.Config{
-					Threshold: 0.05, Samples: benchSamples, Seed: benchSeed, Sequence: bm.Seq,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				smapped, err := techmap.Map(sres.Circuit, lib)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					bl := 100 * (accurate.Area() - met.Area) / accurate.Area()
-					sa := 100 * (accurate.Area() - smapped.Area()) / accurate.Area()
-					b.Logf("Table3 | %-8s | BLASYS %5.1f%% vs baseline %5.1f%% area savings at 5%%",
-						bm.Name, bl, sa)
-					reportMetric(b, bl, "blasys-savings-%")
-					reportMetric(b, sa, "salsa-savings-%")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRuntimeSplit regenerates the paper's §4.2 runtime observation:
-// BMF is fast, Monte-Carlo accuracy simulation dominates.
-func BenchmarkRuntimeSplit(b *testing.B) {
-	bm := bench.Adder32()
-	prepared := logic.ReorderDFS(bm.Circ)
-	eval, err := qor.NewEvaluator(prepared, bm.Spec, 1<<17, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("simulation-point", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eval.Compare(prepared); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bmf-profile", func(b *testing.B) {
-		blocks, err := partition.Decompose(prepared, partition.Options{MaxInputs: 10, MaxOutputs: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			for _, blk := range blocks {
-				if len(blk.Outputs) < 2 {
-					continue
-				}
-				M, err := partition.TruthMatrix(prepared, blk)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f := 1; f < len(blk.Outputs) && f <= bmf.MaxDegree; f++ {
-					if _, err := bmf.FactorizeColumns(M, f, bmf.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	})
-}
+const benchSeed = 1
 
 // BenchmarkCoreSimulator measures the raw bit-parallel simulation throughput
-// that everything above is built on.
+// the flow is built on.
 func BenchmarkCoreSimulator(b *testing.B) {
 	bm := bench.Mult8()
 	sim := logic.NewSimulator(bm.Circ)

@@ -1,13 +1,17 @@
 // Command blasys-exp runs reproducible experiment grids: it reads a JSON
-// manifest (scripts/experiments/*.json), executes every cell of the axis
+// manifest (scripts/experiments/*.json, or the paper grids under
+// scripts/paper/), executes every cell of the axis
 // cross-product per seed and repeat through the library API, and writes a
 // dated run folder (manifest copy, per-cell JSON, raw rows CSV, summary.md,
-// summary_grouped.csv) under -out. The process exit code reflects the grid's
-// machine-checked pass criterion, so CI can gate on a claim staying true.
+// summary_grouped.csv) under -out. The exit code is the verdict: 0 when the
+// grid's machine-checked pass criterion holds, 1 when it fails, and 2 when
+// there is no verdict (bad usage, an invalid manifest, or a cell that could
+// not run), so CI can gate on a claim staying true.
 //
 // Usage:
 //
 //	blasys-exp -grid scripts/experiments/incremental.json -out experiments
+//	blasys-exp -grid scripts/paper/paper.json -out experiments   # the paper's tables
 //
 // Every quantitative claim in DESIGN.md names the grid that regenerates it;
 // docs/EXPERIMENTS.md describes the manifest format and the pass-criteria
@@ -66,7 +70,7 @@ func run() int {
 	run, err := r.Run(ctx, m)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "blasys-exp: %v\n", err)
-		return 1
+		return 2
 	}
 	fmt.Printf("%s\n%s\n", run.Dir, run.Summary.Verdict)
 	if !run.Summary.Pass {

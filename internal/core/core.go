@@ -39,7 +39,6 @@ import (
 	"github.com/blasys-go/blasys/internal/synth"
 	"github.com/blasys-go/blasys/internal/techmap"
 	"github.com/blasys-go/blasys/internal/telemetry"
-	"github.com/blasys-go/blasys/internal/tt"
 )
 
 // Config controls the BLASYS flow. The zero value is completed by
@@ -154,10 +153,12 @@ type Basis int
 const (
 	// BasisColumns (default) restricts B to subsets of the block's own
 	// output columns (bmf.FactorizeColumns) so the compressor reuses the
-	// accurate block's logic and area shrinks monotonically with f. This
-	// compensates for this reproduction's from-scratch (two-level +
-	// Shannon) resynthesis being far weaker than the industrial multi-level
-	// flow the paper drives, which otherwise inflates compressor logic.
+	// accurate block's logic and area mostly shrinks with f (a lower degree
+	// maps larger in 0 to 21% of a circuit's decrements: Adder32 none, FIR
+	// 184 of 869). This compensates for this reproduction's from-scratch
+	// (two-level + Shannon) resynthesis being far weaker than the industrial
+	// multi-level flow the paper drives, which otherwise inflates compressor
+	// logic.
 	BasisColumns Basis = iota
 	// BasisASSO uses the paper's unrestricted ASSO factorization with
 	// truth-table resynthesis of the compressor.
@@ -893,19 +894,40 @@ func (r *Result) CircuitAt(step int) (*logic.Circuit, error) {
 	return r.buildCircuit(r.DegreesAt(step))
 }
 
-// selectBest picks the step with the smallest modeled area among steps whose
-// error is within the threshold, and keeps the accurate circuit (step -1)
-// unless such a step's area is strictly smaller than the accurate model
-// area: under the asso basis a resynthesized step can outgrow it.
+// selectBest picks the best step of the whole walk under the configured
+// threshold (see bestIn).
 func (r *Result) selectBest() {
-	r.BestStep = -1
-	bestArea := r.AccurateModelArea
+	r.BestStep = r.bestIn(len(r.Steps), r.Config.Threshold)
+}
+
+// BestStepAt returns the BestStep a walk with the same configuration, stopped
+// at threshold, would have returned: selectBest's rule applied to the prefix
+// that ends at the first step at or above threshold (the whole walk if none
+// is). Stopping rules do not change the walk, so one exhaustive walk serves
+// every threshold.
+func (r *Result) BestStepAt(threshold float64) int {
+	n := len(r.Steps)
 	for i, s := range r.Steps {
-		if s.Report.Value(r.Config.Metric) <= r.Config.Threshold && s.ModelArea < bestArea {
-			bestArea = s.ModelArea
-			r.BestStep = i
+		if s.Report.Value(r.Config.Metric) >= threshold {
+			n = i + 1
+			break
 		}
 	}
+	return r.bestIn(n, threshold)
+}
+
+// bestIn picks, among the first n steps, the one with the smallest modeled
+// area whose error is within threshold, and keeps the accurate circuit (step
+// -1) unless such a step's area is strictly smaller than the accurate model
+// area: under the asso basis a resynthesized step can outgrow it.
+func (r *Result) bestIn(n int, threshold float64) int {
+	best, bestArea := -1, r.AccurateModelArea
+	for i, s := range r.Steps[:n] {
+		if s.Report.Value(r.Config.Metric) <= threshold && s.ModelArea < bestArea {
+			best, bestArea = i, s.ModelArea
+		}
+	}
+	return best
 }
 
 // BestCircuit rebuilds the chosen approximate circuit (the accurate circuit
@@ -984,24 +1006,4 @@ func (r *Result) FinalMetrics(step, samples int) (techmap.Metrics, qor.Report, e
 		return techmap.Metrics{}, qor.Report{}, err
 	}
 	return mapped.Metrics(min(samples, 1<<14), r.Config.Seed+2), rep, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// WeightVectorForSpec exposes the power-of-two weights of a flat unsigned
-// output spec — convenience for direct BMF use on whole small circuits
-// (paper Fig. 3/4 style experiments).
-func WeightVectorForSpec(spec qor.OutputSpec, numOutputs int) []float64 {
-	w := tt.UniformWeights(numOutputs)
-	for _, g := range spec.Groups {
-		for j, bit := range g.Bits {
-			w[bit] = math.Ldexp(1, j)
-		}
-	}
-	return w
 }

@@ -88,17 +88,6 @@ func TestBasisString(t *testing.T) {
 	}
 }
 
-func TestWeightVectorForSpec(t *testing.T) {
-	spec := qor.Unsigned("y", 4)
-	w := WeightVectorForSpec(spec, 4)
-	want := []float64{1, 2, 4, 8}
-	for i := range want {
-		if w[i] != want[i] {
-			t.Errorf("w[%d] = %v, want %v", i, w[i], want[i])
-		}
-	}
-}
-
 func TestApproximateRejectsInvalidCircuit(t *testing.T) {
 	c := rippleAdder(4)
 	// Corrupt the last gate (a real gate, not an input) with an

@@ -4,9 +4,12 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/blasys-go/blasys/internal/bench"
+	"github.com/blasys-go/blasys/internal/bmf"
+	"github.com/blasys-go/blasys/internal/qor"
 )
 
 // stepsDigest is the SHA-256 of a walk's committed steps: block, degree,
@@ -112,5 +115,68 @@ func TestExhaustiveWalkPins(t *testing.T) {
 				t.Errorf("{%d, %d, %q, %q, %q},", len(res.Steps), best, gotSteps, gotPts, gotBlif)
 			}
 		})
+	}
+}
+
+// TestBestStepAtMatchesStoppedWalk checks the contract that lets one
+// exhaustive walk serve every error budget: a walk stopped at a threshold
+// commits a prefix of the full walk's steps, and the full walk's
+// BestStepAt(threshold) is the stopped walk's BestStep. SAD runs with its
+// Sequence, as the paper evaluates it.
+func TestBestStepAtMatchesStoppedWalk(t *testing.T) {
+	for _, bc := range []bench.Circuit{bench.Adder32(), bench.BUT(), bench.Mult8(), bench.SAD()} {
+		for _, basis := range []Basis{BasisColumns, BasisASSO} {
+			bc, basis := bc, basis
+			t.Run(bc.Name+"/"+basis.String(), func(t *testing.T) {
+				t.Parallel()
+				cfg := Config{Samples: 1 << 13, Seed: 1, Basis: basis, Sequence: bc.Seq, Cache: bmf.NewMemoryCache()}
+				fullCfg := cfg
+				fullCfg.ExploreFully = true
+				full, err := Approximate(bc.Circ, bc.Spec, fullCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, thr := range []float64{0.05, 0.25} {
+					cfg.Threshold = thr
+					stopped, err := Approximate(bc.Circ, bc.Spec, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := len(stopped.Steps)
+					if n > len(full.Steps) || !reflect.DeepEqual(stopped.Steps, full.Steps[:n]) {
+						t.Errorf("threshold %g: the stopped walk's %d steps are not a prefix of the full walk's %d", thr, n, len(full.Steps))
+					}
+					if got := full.BestStepAt(thr); got != stopped.BestStep {
+						t.Errorf("threshold %g: BestStepAt = %d, the stopped walk's BestStep = %d", thr, got, stopped.BestStep)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBestStepAtPrefixRule pins BestStepAt's rule on hand-made walks: the
+// prefix ends at the first step at or above the threshold, a step exactly at
+// it still counts as within it, and a step back under the threshold after
+// the crossing is not read, however small.
+func TestBestStepAtPrefixRule(t *testing.T) {
+	cases := []struct {
+		errs, areas []float64
+		want        int
+	}{
+		{[]float64{0.01, 0.055, 0.02}, []float64{9, 8, 5}, 0}, // step 2 lies past the crossing
+		{[]float64{0.01, 0.05, 0.02}, []float64{9, 7, 3}, 1},  // a step at the threshold ends the prefix and counts
+		{[]float64{0.06, 0.01}, []float64{9, 3}, -1},          // the first step crosses: the accurate circuit
+		{[]float64{0.01, 0.02}, []float64{11, 12}, -1},        // no step below the accurate area
+		{[]float64{0.01, 0.02}, []float64{9, 8}, 1},           // no crossing: the whole walk
+	}
+	for i, tc := range cases {
+		r := &Result{Config: Config{Metric: qor.AvgRelative}, AccurateModelArea: 10}
+		for j := range tc.errs {
+			r.Steps = append(r.Steps, Step{Report: qor.Report{AvgRel: tc.errs[j]}, ModelArea: tc.areas[j]})
+		}
+		if got := r.BestStepAt(0.05); got != tc.want {
+			t.Errorf("case %d: BestStepAt(0.05) = %d, want %d", i, got, tc.want)
+		}
 	}
 }

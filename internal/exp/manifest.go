@@ -1,10 +1,12 @@
 // Package exp is the reproducible experiment harness: it turns a JSON grid
 // manifest (axes over circuit, workers, incremental on/off, cache warmth,
-// fault schedule; a fixed seed list; repeats) into a full cross-product of
-// experiment cells, executes every cell through the library
-// API (core.Approximate, or the durable engine when a fault axis is
-// declared), and writes a dated output folder with per-cell JSON, per-seed
-// raw rows, and auto-built summary tables.
+// fault schedule, factor basis, weighted QoR; a fixed seed list; repeats)
+// into a full cross-product of experiment cells, executes every cell
+// through the library API (core.Approximate, or the durable engine when a
+// fault axis is declared), and writes a dated output folder with per-cell
+// JSON, per-seed raw rows, and auto-built summary tables. The paper
+// workload (paper.go) reads the paper's tables and figures from one
+// exhaustive walk per cell and grades them against the published numbers.
 //
 // The harness follows the hypothesis-driven experiment standards this repo
 // adopted from the inference-sim project (see docs/EXPERIMENTS.md):
@@ -28,6 +30,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/blasys-go/blasys/internal/core"
 )
 
 // Manifest is one experiment grid: the scalars shared by every cell, the
@@ -42,8 +46,9 @@ type Manifest struct {
 	// single seed sufficient) or "statistical" (metric comparison, minimum
 	// three seeds, directional consistency required).
 	Type string `json:"type"`
-	// Workload selects what each cell executes: "explore" (the default and
-	// only workload — one full Approximate run).
+	// Workload selects what each cell executes: "explore" (the default —
+	// one Approximate run) or "paper" (one exhaustive walk read at the
+	// paper's error budgets; see paper.go).
 	Workload string `json:"workload,omitempty"`
 	// Seeds is the fixed seed list; every cell runs once per seed (times
 	// Repeats). Statistical manifests need at least three.
@@ -54,6 +59,9 @@ type Manifest struct {
 	Repeats int `json:"repeats,omitempty"`
 	// Samples is the Monte-Carlo sample count per evaluation (default 4096).
 	Samples int `json:"samples,omitempty"`
+	// FinalSamples is the sample count of the paper workload's final
+	// reports (default 2^20, the paper's one million).
+	FinalSamples int `json:"final_samples,omitempty"`
 	// Threshold is the exploration QoR budget (default: core's 5%).
 	Threshold float64 `json:"threshold,omitempty"`
 	// MaxSteps caps exploration steps (0 = until threshold/exhaustion).
@@ -90,13 +98,18 @@ type Axes struct {
 	// grid through a durable engine + store so schedules have I/O to bite
 	// and the fault-free baseline exercises the identical code path.
 	Faults []string `json:"faults,omitempty"`
+	// Basis values ("columns", "asso") map to core.Config.Basis.
+	Basis []string `json:"basis,omitempty"`
+	// Weighted values map to core.Config.Weighted (the paper's WQoR).
+	Weighted []bool `json:"weighted,omitempty"`
 }
 
 // Pass is the machine-checked pass criterion for a grid.
 type Pass struct {
 	// Kind: "ratio" compares Metric across CompareAxis values against the
 	// Baseline value per seed; "equal" requires identical result hashes
-	// across CompareAxis values per seed (byte-identity).
+	// across CompareAxis values per seed (byte-identity); "paper" applies
+	// the paper workload's fixed criteria (paperCriteria) to every cell.
 	Kind string `json:"kind"`
 	// Metric names the row field ratio comparisons read: "evals_per_sec",
 	// "wall_seconds", "explore_seconds", "steps", "best_error", "norm_area".
@@ -128,9 +141,11 @@ const (
 	TypeStatistical   = "statistical"
 
 	WorkloadExplore = "explore"
+	WorkloadPaper   = "paper"
 
 	KindRatio = "ratio"
 	KindEqual = "equal"
+	KindPaper = "paper"
 )
 
 // MinStatisticalSeeds is the seed floor for statistical experiments, per the
@@ -162,6 +177,9 @@ func (m *Manifest) withDefaults() *Manifest {
 	}
 	if m.Samples <= 0 {
 		m.Samples = 1 << 12
+	}
+	if m.FinalSamples <= 0 {
+		m.FinalSamples = 1 << 20
 	}
 	if m.FaultSeed == 0 {
 		m.FaultSeed = 1
@@ -200,18 +218,22 @@ func (m *Manifest) validate() error {
 		}
 		seen[s] = true
 	}
+	if err := m.validateAxes(); err != nil {
+		return err
+	}
 	switch m.Workload {
 	case "", WorkloadExplore:
+	case WorkloadPaper:
+		// A step cap or threshold would cut the walk every budget is read
+		// from, so a smoke run shrinks samples or circuits instead.
+		if m.Type != TypeStatistical || m.Pass.Kind != KindPaper || m.MaxSteps != 0 || m.Threshold != 0 ||
+			m.ExploreFully || m.Repeats > 1 || len(m.Axes.Faults) > 0 {
+			return fmt.Errorf("exp: manifest %s: the paper workload is %s, takes pass kind %q, and takes no max_steps, threshold, explore_fully, repeats or faults axis",
+				m.Name, TypeStatistical, KindPaper)
+		}
+		return nil
 	default:
 		return fmt.Errorf("exp: manifest %s: unknown workload %q", m.Name, m.Workload)
-	}
-	if len(m.Axes.Circuit) == 0 {
-		return fmt.Errorf("exp: manifest %s: the circuit axis needs at least one value", m.Name)
-	}
-	for _, c := range m.Axes.Cache {
-		if c != "cold" && c != "warm" {
-			return fmt.Errorf("exp: manifest %s: cache axis values must be \"cold\" or \"warm\", got %q", m.Name, c)
-		}
 	}
 	switch m.Pass.Kind {
 	case KindEqual:
@@ -253,6 +275,34 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
+// validateAxes checks the axis values every workload shares.
+func (m *Manifest) validateAxes() error {
+	if len(m.Axes.Circuit) == 0 {
+		return fmt.Errorf("exp: manifest %s: the circuit axis needs at least one value", m.Name)
+	}
+	for _, c := range m.Axes.Cache {
+		if c != "cold" && c != "warm" {
+			return fmt.Errorf("exp: manifest %s: cache axis values must be \"cold\" or \"warm\", got %q", m.Name, c)
+		}
+	}
+	for _, b := range m.Axes.Basis {
+		if _, err := parseBasis(b); err != nil {
+			return fmt.Errorf("exp: manifest %s: %v", m.Name, err)
+		}
+	}
+	return nil
+}
+
+// parseBasis maps a basis axis value to the core factor family.
+func parseBasis(name string) (core.Basis, error) {
+	for _, b := range []core.Basis{core.BasisColumns, core.BasisASSO} {
+		if b.String() == name {
+			return b, nil
+		}
+	}
+	return 0, fmt.Errorf("basis axis values must be \"columns\" or \"asso\", got %q", name)
+}
+
 // Cell is one grid point: a full configuration to run per (seed, repeat).
 type Cell struct {
 	Circuit     string `json:"circuit"`
@@ -265,10 +315,12 @@ type Cell struct {
 	FaultsLabel string `json:"faults_label"`
 	// UseEngine routes the cell through a durable engine + store (set for
 	// every cell of a grid that declares a faults axis).
-	UseEngine bool `json:"use_engine"`
+	UseEngine bool   `json:"use_engine"`
+	Basis     string `json:"basis"`
+	Weighted  bool   `json:"weighted"`
 }
 
-var axisNames = []string{"circuit", "workers", "incremental", "cache", "faults"}
+var axisNames = []string{"circuit", "workers", "incremental", "cache", "faults", "basis", "weighted"}
 
 func axisNameKnown(name string) bool {
 	for _, n := range axisNames {
@@ -295,11 +347,7 @@ func (m *Manifest) axisTokens(axis string) []string {
 		if len(m.Axes.Incremental) == 0 {
 			return []string{"true"}
 		}
-		out := make([]string, len(m.Axes.Incremental))
-		for i, b := range m.Axes.Incremental {
-			out[i] = strconv.FormatBool(b)
-		}
-		return out
+		return boolTokens(m.Axes.Incremental)
 	case "cache":
 		if len(m.Axes.Cache) == 0 {
 			return []string{"cold"}
@@ -314,6 +362,16 @@ func (m *Manifest) axisTokens(axis string) []string {
 			out[i] = faultsToken(f, i)
 		}
 		return out
+	case "basis":
+		if len(m.Axes.Basis) == 0 {
+			return []string{core.BasisColumns.String()}
+		}
+		return append([]string(nil), m.Axes.Basis...)
+	case "weighted":
+		if len(m.Axes.Weighted) == 0 {
+			return []string{"false"}
+		}
+		return boolTokens(m.Axes.Weighted)
 	}
 	return nil
 }
@@ -322,6 +380,14 @@ func intTokens(vals []int) []string {
 	out := make([]string, len(vals))
 	for i, v := range vals {
 		out[i] = strconv.Itoa(v)
+	}
+	return out
+}
+
+func boolTokens(vals []bool) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = strconv.FormatBool(v)
 	}
 	return out
 }
@@ -369,21 +435,32 @@ func (m *Manifest) Cells() []Cell {
 	if len(faultAxes) == 0 {
 		faultAxes = []string{""}
 	}
+	bases := m.axisTokens("basis")
+	weighted := m.Axes.Weighted
+	if len(weighted) == 0 {
+		weighted = []bool{false}
+	}
 	var cells []Cell
 	for _, circ := range m.Axes.Circuit {
 		for _, w := range workers {
 			for _, inc := range incr {
 				for _, cache := range caches {
 					for fi, flt := range faultAxes {
-						cells = append(cells, Cell{
-							Circuit:     circ,
-							Workers:     w,
-							Incremental: inc,
-							Cache:       cache,
-							Faults:      flt,
-							FaultsLabel: faultsToken(flt, fi),
-							UseEngine:   useEngine,
-						})
+						for _, basis := range bases {
+							for _, wq := range weighted {
+								cells = append(cells, Cell{
+									Circuit:     circ,
+									Workers:     w,
+									Incremental: inc,
+									Cache:       cache,
+									Faults:      flt,
+									FaultsLabel: faultsToken(flt, fi),
+									UseEngine:   useEngine,
+									Basis:       basis,
+									Weighted:    wq,
+								})
+							}
+						}
 					}
 				}
 			}
@@ -405,6 +482,10 @@ func (c Cell) axisToken(axis string) string {
 		return c.Cache
 	case "faults":
 		return c.FaultsLabel
+	case "basis":
+		return c.Basis
+	case "weighted":
+		return strconv.FormatBool(c.Weighted)
 	}
 	return ""
 }
@@ -425,12 +506,18 @@ func (m *Manifest) declaredAxes() []string {
 	if len(m.Axes.Faults) > 0 {
 		axes = append(axes, "faults")
 	}
+	if len(m.Axes.Basis) > 0 {
+		axes = append(axes, "basis")
+	}
+	if len(m.Axes.Weighted) > 0 {
+		axes = append(axes, "weighted")
+	}
 	return axes
 }
 
 // CellID is the cell's stable identifier: its declared-axis tokens joined
 // with '_', prefixed by axis letters for the non-circuit axes
-// (e.g. "mult8_w2_inc-true").
+// (e.g. "mult8_w2_inc-true", "mult8_asso_weighted-true").
 func (m *Manifest) CellID(c Cell) string {
 	parts := []string{}
 	for _, axis := range m.declaredAxes() {
@@ -442,9 +529,9 @@ func (m *Manifest) CellID(c Cell) string {
 			parts = append(parts, "w"+tok)
 		case "incremental":
 			parts = append(parts, "inc-"+tok)
-		case "cache":
-			parts = append(parts, tok)
-		case "faults":
+		case "weighted":
+			parts = append(parts, "weighted-"+tok)
+		default: // cache, faults, basis
 			parts = append(parts, tok)
 		}
 	}

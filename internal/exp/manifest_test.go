@@ -72,6 +72,20 @@ func TestParseManifestRejects(t *testing.T) {
 		"no circuits": mutate(func(s string) string {
 			return strings.Replace(s, `["Fig3"]`, `[]`, 1)
 		}),
+		"unknown basis": mutate(func(s string) string {
+			return strings.Replace(s, `"incremental": [false, true]`,
+				`"incremental": [false, true], "basis": ["rows"]`, 1)
+		}),
+		"paper kind on explore": mutate(func(s string) string {
+			return strings.Replace(s, `"kind": "ratio"`, `"kind": "paper"`, 1)
+		}),
+		"paper step cap":     strings.Replace(paperGrid, `"samples": 256`, `"samples": 256, "max_steps": 30`, 1),
+		"paper threshold":    strings.Replace(paperGrid, `"samples": 256`, `"samples": 256, "threshold": 0.25`, 1),
+		"paper explore kind": strings.Replace(paperGrid, `"kind": "paper"`, `"kind": "equal", "compare_axis": "basis"`, 1),
+		"paper one seed":     strings.Replace(paperGrid, `[1, 2, 3]`, `[1]`, 1),
+	}
+	if _, err := ParseManifest([]byte(paperGrid)); err != nil {
+		t.Errorf("paper grid rejected: %v", err)
 	}
 	for name, bad := range cases {
 		if _, err := ParseManifest([]byte(bad)); err == nil {
@@ -144,13 +158,15 @@ func TestCellsFaultAxisRoutesThroughEngine(t *testing.T) {
 	}
 }
 
-// TestInTreeGridsParse pins that every committed grid manifest parses and
-// validates.
+// TestInTreeGridsParse pins that every committed grid manifest, the paper
+// grids included, parses and validates.
 func TestInTreeGridsParse(t *testing.T) {
 	grids, err := filepath.Glob("../../scripts/experiments/*.json")
-	if err != nil || len(grids) == 0 {
+	paper, _ := filepath.Glob("../../scripts/paper/*.json")
+	if err != nil || len(grids) == 0 || len(paper) == 0 {
 		t.Fatalf("no in-tree grids found: %v", err)
 	}
+	grids = append(grids, paper...)
 	for _, g := range grids {
 		data, err := os.ReadFile(g)
 		if err != nil {

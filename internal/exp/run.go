@@ -40,6 +40,8 @@ type Row struct {
 	Incremental bool    `json:"incremental"`
 	Cache       string  `json:"cache"`
 	Faults      string  `json:"faults"`
+	Basis       string  `json:"basis"`
+	Weighted    bool    `json:"weighted"`
 	Seed        int64   `json:"seed"`
 	Repeat      int     `json:"repeat"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -56,13 +58,18 @@ type Row struct {
 	// candidate-evals/sec of BENCH_<date>.json.
 	EvalSeconds float64 `json:"eval_seconds"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
-	BestError   float64 `json:"best_error"`
-	NormArea    float64 `json:"norm_area"`
+	// BestError and NormArea describe the circuit the run returned (the
+	// accurate circuit reads 0 and 1): its error and its model area over
+	// the accurate circuit's.
+	BestError float64 `json:"best_error"`
+	NormArea  float64 `json:"norm_area"`
 	// ResultHash fingerprints everything deterministic about the outcome:
 	// the committed trajectory (per-step reports, bit-exact), every
 	// frontier point, and the result netlist's BLIF bytes. Two runs agree
 	// on ResultHash iff they are byte-identical in the repo's sense.
 	ResultHash string `json:"result_hash"`
+	// Paper is the paper workload's outcome (nil for other workloads).
+	Paper *PaperOutcome `json:"paper,omitempty"`
 }
 
 // Metric extracts a named scalar from the row (the field ratio pass criteria
@@ -184,6 +191,7 @@ func (r *Runner) Run(ctx context.Context, m *Manifest) (*Run, error) {
 
 // cellConfig builds the core configuration for one (cell, seed).
 func cellConfig(m *Manifest, cell Cell, seed int64) core.Config {
+	basis, _ := parseBasis(cell.Basis) // validated with the manifest
 	return core.Config{
 		Samples:            m.Samples,
 		Seed:               seed,
@@ -192,6 +200,8 @@ func cellConfig(m *Manifest, cell Cell, seed int64) core.Config {
 		ExploreFully:       m.ExploreFully,
 		Workers:            cell.Workers,
 		DisableIncremental: !cell.Incremental,
+		Basis:              basis,
+		Weighted:           cell.Weighted,
 	}
 }
 
@@ -202,6 +212,8 @@ func (r *Runner) runCell(ctx context.Context, m *Manifest, cell Cell, seed int64
 		Incremental: cell.Incremental,
 		Cache:       cell.Cache,
 		Faults:      cell.FaultsLabel,
+		Basis:       cell.Basis,
+		Weighted:    cell.Weighted,
 		Seed:        seed,
 		Repeat:      repeat,
 	}
@@ -210,9 +222,10 @@ func (r *Runner) runCell(ctx context.Context, m *Manifest, cell Cell, seed int64
 		return row, err
 	}
 	cfg := cellConfig(m, cell, seed)
-	// Sequence circuits (MAC, SAD) are evaluated combinationally: the
-	// feedback path forces the paper-literal evaluator, which would make an
-	// incremental axis vacuous.
+	// The explore workload evaluates sequence circuits (MAC, SAD)
+	// combinationally: the feedback path forces the paper-literal
+	// evaluator, which would make an incremental axis vacuous. The paper
+	// workload evaluates them as the paper does.
 	if cell.Cache == "warm" {
 		cache := bmf.NewMemoryCache()
 		warm := cfg
@@ -223,16 +236,25 @@ func (r *Runner) runCell(ctx context.Context, m *Manifest, cell Cell, seed int64
 		}
 		cfg.Cache = cache
 	}
-	if cell.UseEngine {
+	switch {
+	case cell.UseEngine:
 		return r.runEngineCell(ctx, m, cell, cfg, bc, row)
+	case m.Workload == WorkloadPaper:
+		return runPaperCell(ctx, m, cfg, bc, row)
 	}
-	return r.runCoreCell(ctx, cfg, bc, row)
+	res, err := walk(ctx, cfg, bc, &row)
+	if err != nil {
+		return row, err
+	}
+	fillOutcome(&row, res, res.BestStep)
+	row.ResultHash, err = hashExploreResult(res)
+	return row, err
 }
 
-// runCoreCell executes one explore-workload cell directly through
-// core.ApproximateCtx, with a telemetry timeline splitting the wall time
-// into the profile and explore phases.
-func (r *Runner) runCoreCell(ctx context.Context, cfg core.Config, bc bench.Circuit, row Row) (Row, error) {
+// walk runs one Approximate call directly through core.ApproximateCtx and
+// records its timing in the row, with a telemetry timeline splitting the
+// wall time into the profile and explore phases.
+func walk(ctx context.Context, cfg core.Config, bc bench.Circuit, row *Row) (*core.Result, error) {
 	tl := telemetry.NewTimeline(1 << 12)
 	span := tl.Start("cell")
 	cfg.Span = span
@@ -242,13 +264,11 @@ func (r *Runner) runCoreCell(ctx context.Context, cfg core.Config, bc bench.Circ
 	row.WallSeconds = time.Since(t0).Seconds()
 	span.End()
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	row.ProfileSeconds, row.ExploreSeconds = phaseSeconds(tl)
-	fillEvalDelta(&row, count0, sum0)
-	fillExploreOutcome(&row, res)
-	row.ResultHash, err = hashExploreResult(res)
-	return row, err
+	row.ProfileSeconds, row.ExploreSeconds = spanSeconds(tl.Records())
+	fillEvalDelta(row, count0, sum0)
+	return res, nil
 }
 
 // runEngineCell executes one cell through a durable engine over a throwaway
@@ -300,7 +320,7 @@ func (r *Runner) runEngineCell(ctx context.Context, m *Manifest, cell Cell, cfg 
 	}
 	fillEvalDelta(&row, count0, sum0)
 	res := job.Result()
-	fillExploreOutcome(&row, res)
+	fillOutcome(&row, res, res.BestStep)
 	row.ProfileSeconds, row.ExploreSeconds = spanSeconds(job.Timeline())
 
 	// Hash what the service serves: the journaled result netlist bytes and
@@ -332,31 +352,21 @@ func fillEvalDelta(row *Row, count0 uint64, sum0 float64) {
 	}
 }
 
-// fillExploreOutcome records the exploration's scalar outcomes.
-func fillExploreOutcome(row *Row, res *core.Result) {
+// fillOutcome records the walk's step count and the circuit the run returns
+// at step: its error and normalized model area (step -1, the accurate
+// circuit, reads 0 and 1). A returned step's area is below the accurate
+// one's, so the division is by a positive area.
+func fillOutcome(row *Row, res *core.Result, step int) {
 	row.Steps = len(res.Steps)
-	if row.Steps > 0 {
-		last := res.Steps[row.Steps-1]
-		row.BestError = last.Report.Value(res.Config.Metric)
-		if res.AccurateModelArea > 0 {
-			row.NormArea = last.ModelArea / res.AccurateModelArea
-		}
-	}
-	if res.BestStep >= 0 {
-		s := res.Steps[res.BestStep]
+	row.BestError, row.NormArea = 0, 1
+	if step >= 0 {
+		s := res.Steps[step]
 		row.BestError = s.Report.Value(res.Config.Metric)
-		if res.AccurateModelArea > 0 {
-			row.NormArea = s.ModelArea / res.AccurateModelArea
-		}
+		row.NormArea = s.ModelArea / res.AccurateModelArea
 	}
 }
 
-// phaseSeconds extracts the profile and explore span durations from a cell
-// timeline.
-func phaseSeconds(tl *telemetry.Timeline) (profile, explore float64) {
-	return spanSeconds(tl.Records())
-}
-
+// spanSeconds sums the profile and explore span durations of a cell.
 func spanSeconds(recs []telemetry.SpanRecord) (profile, explore float64) {
 	for _, rec := range recs {
 		switch rec.Name {

@@ -2,8 +2,10 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -101,5 +103,80 @@ func TestRunEngineFaultCells(t *testing.T) {
 	}
 	if run.Rows[0].ResultHash != run.Rows[1].ResultHash {
 		t.Errorf("fault schedule changed the result: %s vs %s", run.Rows[0].ResultHash, run.Rows[1].ResultHash)
+	}
+}
+
+// TestRowsDescribeReturnedCircuit pins that a row reports the circuit the
+// run returned. At a 1e-9 threshold Adder32's first step already exceeds the
+// budget, so the run returns the accurate circuit: error 0, area 1, not the
+// values of the step it committed.
+func TestRowsDescribeReturnedCircuit(t *testing.T) {
+	run := runGrid(t, `{
+		"name": "returned",
+		"hypothesis": "rows describe the returned circuit",
+		"type": "deterministic",
+		"seeds": [1],
+		"samples": 1024,
+		"threshold": 1e-9,
+		"axes": {"circuit": ["Adder32"], "workers": [1, 2]},
+		"pass": {"kind": "equal", "compare_axis": "workers"}
+	}`)
+	for _, r := range run.Rows {
+		if r.Steps == 0 || r.BestError != 0 || r.NormArea != 1 {
+			t.Errorf("%s: %d steps, best error %g, norm area %g; want the accurate circuit (0, 1)",
+				r.Cell, r.Steps, r.BestError, r.NormArea)
+		}
+	}
+}
+
+const paperGrid = `{
+	"name": "paper-micro",
+	"hypothesis": "the paper workload reads every budget from one walk",
+	"type": "statistical",
+	"workload": "paper",
+	"seeds": [1, 2, 3],
+	"samples": 256,
+	"final_samples": 1024,
+	"axes": {"circuit": ["BUT"], "basis": ["columns", "asso"]},
+	"pass": {"kind": "paper"}
+}`
+
+// TestPaperWorkload runs a small paper grid and checks that each row reads
+// both budgets and the trace from its one walk, and that the verdict and
+// summary name every failing (cell, criterion) pair.
+func TestPaperWorkload(t *testing.T) {
+	run := runGrid(t, paperGrid)
+	if len(run.Rows) != 6 {
+		t.Fatalf("got %d rows, want 6", len(run.Rows))
+	}
+	for _, r := range run.Rows {
+		p := r.Paper
+		if p == nil || len(p.Budgets) != 2 || len(p.Trace) != r.Steps+1 || p.Inputs != 16 || p.Outputs != 18 {
+			t.Fatalf("%s seed %d: outcome %+v does not cover both budgets and the %d-step walk", r.Cell, r.Seed, p, r.Steps)
+		}
+		if b := p.Budgets[0]; b.BestStep < 0 && (b.AreaSavings != 0 || r.BestError != 0 || r.NormArea != 1) {
+			t.Errorf("%s seed %d: the accurate circuit reads savings %g, error %g, area %g", r.Cell, r.Seed, b.AreaSavings, r.BestError, r.NormArea)
+		}
+	}
+	summary, err := os.ReadFile(filepath.Join(run.Dir, "summary.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(summary), "**Verdict: "+run.Summary.Verdict+"**") {
+		t.Errorf("summary.md does not state the verdict %q", run.Summary.Verdict)
+	}
+	for _, c := range run.Summary.Paper {
+		named := strings.Contains(run.Summary.Verdict, c.Cell+" "+c.Criterion)
+		listed := strings.Contains(string(summary), fmt.Sprintf("| %s | %s | %s | %s |", c.Cell, c.Criterion, seedList(c.FailedSeeds), passMark(c.Pass)))
+		if named == c.Pass || !listed {
+			t.Errorf("check %+v: named in the verdict %t, listed in summary.md %t", c, named, listed)
+		}
+	}
+	allPass := true
+	for _, c := range run.Summary.Paper {
+		allPass = allPass && c.Pass
+	}
+	if len(run.Summary.Paper) != 6 || run.Summary.Pass != allPass {
+		t.Errorf("%d checks, verdict %q", len(run.Summary.Paper), run.Summary.Verdict)
 	}
 }

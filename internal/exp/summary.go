@@ -96,8 +96,11 @@ type Summary struct {
 	Cells       []CellSummary `json:"cells"`
 	Comparisons []Comparison  `json:"comparisons,omitempty"`
 	Equal       []EqualCheck  `json:"equal,omitempty"`
+	Paper       []PaperCheck  `json:"paper,omitempty"`
 	Pass        bool          `json:"pass"`
 	Verdict     string        `json:"verdict"`
+	// byCell holds the rows of each cell, for the paper tables.
+	byCell map[string][]Row
 }
 
 // rowCell reconstructs the axis-token view of a row's cell.
@@ -108,16 +111,18 @@ func rowCell(r Row) Cell {
 		Incremental: r.Incremental,
 		Cache:       r.Cache,
 		FaultsLabel: r.Faults,
+		Basis:       r.Basis,
+		Weighted:    r.Weighted,
 	}
 }
 
 // Summarize evaluates a grid's rows: per-cell mean/min/max aggregates plus
-// the manifest's pass criterion (per-seed ratio comparisons or per-seed
-// byte-identity). It is a pure function of (manifest, rows), so summaries
-// regenerate exactly from committed raw rows.
+// the manifest's pass criterion (per-seed ratio comparisons, per-seed
+// byte-identity, or the paper criteria). It is a pure function of
+// (manifest, rows), so summaries regenerate exactly from committed raw rows.
 func Summarize(m *Manifest, rows []Row) *Summary {
-	s := &Summary{}
 	byCell := map[string][]Row{}
+	s := &Summary{byCell: byCell}
 	var cellOrder []string
 	for _, r := range rows {
 		if _, ok := byCell[r.Cell]; !ok {
@@ -185,6 +190,25 @@ func Summarize(m *Manifest, rows []Row) *Summary {
 		}
 		s.Verdict = fmt.Sprintf("%s (byte-identity across %s): %d/%d (group, seed) checks byte-identical",
 			verb, m.Pass.CompareAxis, identical, len(s.Equal))
+	case KindPaper:
+		s.Paper = checkPaper(s.Cells, byCell)
+		s.Pass = len(s.Paper) > 0
+		var failing []string
+		for _, c := range s.Paper {
+			if !c.Pass {
+				s.Pass = false
+				failing = append(failing, c.Cell+" "+c.Criterion)
+			}
+		}
+		verb := "FAIL"
+		if s.Pass {
+			verb = "PASS"
+		}
+		s.Verdict = fmt.Sprintf("%s (paper criteria): %d/%d (cell, criterion) checks hold on every seed",
+			verb, len(s.Paper)-len(failing), len(s.Paper))
+		if len(failing) > 0 {
+			s.Verdict += "; failing: " + strings.Join(failing, ", ")
+		}
 	}
 	return s
 }
@@ -326,14 +350,19 @@ func (s *Summary) Markdown(m *Manifest, stamp string) string {
 	fmt.Fprintf(&b, "# Experiment: %s\n\n", m.Name)
 	fmt.Fprintf(&b, "- **Hypothesis:** %s\n", m.Hypothesis)
 	fmt.Fprintf(&b, "- **Type:** %s · **Workload:** %s · **Pass:** %s", m.Type, m.Workload, m.Pass.Kind)
-	if m.Pass.Kind == KindRatio {
+	switch m.Pass.Kind {
+	case KindRatio:
 		fmt.Fprintf(&b, " (%s across %s, baseline %s, direction %s, min ratio %.2f)",
 			m.Pass.Metric, m.Pass.CompareAxis, m.Pass.Baseline, m.Pass.Direction, m.Pass.MinRatio)
-	} else {
+	case KindEqual:
 		fmt.Fprintf(&b, " (result hashes across %s)", m.Pass.CompareAxis)
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "- **Seeds:** %s · **Repeats:** %d · **Samples:** %d\n", seedList(m.Seeds), m.Repeats, m.Samples)
+	fmt.Fprintf(&b, "- **Seeds:** %s · **Repeats:** %d · **Samples:** %d", seedList(m.Seeds), m.Repeats, m.Samples)
+	if m.Workload == WorkloadPaper {
+		fmt.Fprintf(&b, " · **Final samples:** %d", m.FinalSamples)
+	}
+	b.WriteString("\n")
 	if stamp != "" {
 		fmt.Fprintf(&b, "- **Run:** %s\n", stamp)
 	}
@@ -374,6 +403,10 @@ func (s *Summary) Markdown(m *Manifest, stamp string) string {
 		}
 	}
 
+	if m.Pass.Kind == KindPaper {
+		s.paperMarkdown(&b)
+	}
+
 	b.WriteString("\nRaw rows: `rows.csv` · per-cell detail: `cells/*.json` · grouped aggregates: `summary_grouped.csv`\n")
 	return b.String()
 }
@@ -410,7 +443,7 @@ func (s *Summary) GroupedCSV() string {
 
 // rowsCSVHeader is the raw-row column order.
 var rowsCSVHeader = []string{
-	"cell", "circuit", "workers", "incremental", "cache", "faults",
+	"cell", "circuit", "workers", "incremental", "cache", "faults", "basis", "weighted",
 	"seed", "repeat", "wall_seconds", "profile_seconds", "explore_seconds",
 	"steps", "evals", "eval_seconds", "evals_per_sec", "best_error", "norm_area", "result_hash",
 }
@@ -420,8 +453,8 @@ func writeRowsCSV(path string, rows []Row) error {
 	b.WriteString(strings.Join(rowsCSVHeader, ","))
 	b.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%t,%s,%s,%d,%d,%s,%s,%s,%d,%d,%s,%s,%s,%s,%s\n",
-			r.Cell, r.Circuit, r.Workers, r.Incremental, r.Cache, r.Faults,
+		fmt.Fprintf(&b, "%s,%s,%d,%t,%s,%s,%s,%t,%d,%d,%s,%s,%s,%d,%d,%s,%s,%s,%s,%s\n",
+			r.Cell, r.Circuit, r.Workers, r.Incremental, r.Cache, r.Faults, r.Basis, r.Weighted,
 			r.Seed, r.Repeat, fmtF(r.WallSeconds), fmtF(r.ProfileSeconds), fmtF(r.ExploreSeconds),
 			r.Steps, r.Evals, fmtF(r.EvalSeconds), fmtF(r.EvalsPerSec),
 			fmtF(r.BestError), fmtF(r.NormArea), r.ResultHash)

@@ -260,21 +260,6 @@ func (c *Circuit) Clone() *Circuit {
 	return cp
 }
 
-// FanoutCounts returns, for each node, the number of fanin references to it
-// from other nodes plus the number of primary outputs it drives.
-func (c *Circuit) FanoutCounts() []int {
-	counts := make([]int, len(c.Nodes))
-	for i := range c.Nodes {
-		for _, f := range c.Nodes[i].Fanins() {
-			counts[f]++
-		}
-	}
-	for _, o := range c.Outputs {
-		counts[o]++
-	}
-	return counts
-}
-
 // Levels returns each node's logic depth: inputs and constants are level 0,
 // a gate is 1 + max(fanin levels). The second result is the circuit depth
 // (maximum over outputs).
@@ -346,15 +331,6 @@ func (c *Circuit) TransitiveFanout(roots ...NodeID) []bool {
 		}
 	}
 	return out
-}
-
-// OpCounts returns a histogram of gate operations.
-func (c *Circuit) OpCounts() map[Op]int {
-	m := make(map[Op]int)
-	for i := range c.Nodes {
-		m[c.Nodes[i].Op]++
-	}
-	return m
 }
 
 // Stats summarizes circuit size for logging.

@@ -98,10 +98,6 @@ func TestOpCountsAndStats(t *testing.T) {
 	x := b.Input("x")
 	y := b.Input("y")
 	b.Output("o", b.And(b.Xor(x, y), b.Or(x, y)))
-	counts := b.C.OpCounts()
-	if counts[And] != 1 || counts[Xor] != 1 || counts[Or] != 1 || counts[Input] != 2 {
-		t.Errorf("OpCounts = %v", counts)
-	}
 	stats := b.C.Stats()
 	for _, want := range []string{"2 inputs", "1 outputs", "3 gates", "depth 2"} {
 		if !strings.Contains(stats, want) {
@@ -129,22 +125,6 @@ func TestValidateNameMismatches(t *testing.T) {
 	c.OutputNames = []string{"phantom"}
 	if err := c.Validate(); err == nil {
 		t.Error("accepted output-name/output mismatch")
-	}
-}
-
-func TestFanoutCounts(t *testing.T) {
-	b := NewBuilder("f")
-	x := b.Input("x")
-	y := b.Input("y")
-	g := b.And(x, y)
-	b.Output("o1", g)
-	b.Output("o2", g)
-	counts := b.C.FanoutCounts()
-	if counts[g] != 2 {
-		t.Errorf("fanout of g = %d, want 2 (two outputs)", counts[g])
-	}
-	if counts[x] != 1 || counts[y] != 1 {
-		t.Errorf("input fanouts = %d/%d, want 1/1", counts[x], counts[y])
 	}
 }
 

@@ -1,6 +1,5 @@
-// Package verilog writes gate-level netlists and technology-mapped netlists
-// as synthesizable structural Verilog, so results of the flow can be taken
-// into any downstream tool.
+// Package verilog writes gate-level netlists as synthesizable structural
+// Verilog, so results of the flow can be taken into any downstream tool.
 package verilog
 
 import (
@@ -11,7 +10,6 @@ import (
 	"strings"
 
 	"github.com/blasys-go/blasys/internal/logic"
-	"github.com/blasys-go/blasys/internal/techmap"
 )
 
 // Write emits the circuit as a single Verilog module built from continuous
@@ -172,71 +170,4 @@ func sanitize(s, fallback string) string {
 		out = "s_" + out
 	}
 	return out
-}
-
-// WriteMapped emits a technology-mapped netlist as a Verilog module with one
-// cell instance per line (cells as module instantiations against the
-// library's cell names).
-func WriteMapped(w io.Writer, m *techmap.Mapped) error {
-	bw := bufio.NewWriter(w)
-	nets := make([]string, m.NumInputs+len(m.Instances))
-	used := make(map[string]bool)
-	for i := 0; i < m.NumInputs; i++ {
-		name := ""
-		if i < len(m.InputNames) {
-			name = m.InputNames[i]
-		}
-		n := sanitize(name, fmt.Sprintf("pi%d", i))
-		for used[n] {
-			n += "_"
-		}
-		used[n] = true
-		nets[i] = n
-	}
-	for j := range m.Instances {
-		n := fmt.Sprintf("w%d", j)
-		for used[n] {
-			n += "_"
-		}
-		used[n] = true
-		nets[m.NumInputs+j] = n
-	}
-	outs := make([]string, len(m.Outputs))
-	for i := range m.Outputs {
-		name := ""
-		if i < len(m.OutputNames) {
-			name = m.OutputNames[i]
-		}
-		n := sanitize(name, fmt.Sprintf("po%d", i))
-		for used[n] {
-			n += "_"
-		}
-		used[n] = true
-		outs[i] = n
-	}
-
-	ports := append(append([]string{}, nets[:m.NumInputs]...), outs...)
-	fmt.Fprintf(bw, "module %s(%s);\n", sanitize(m.Name, "top"), strings.Join(ports, ", "))
-	for i := 0; i < m.NumInputs; i++ {
-		fmt.Fprintf(bw, "  input %s;\n", nets[i])
-	}
-	for _, o := range outs {
-		fmt.Fprintf(bw, "  output %s;\n", o)
-	}
-	for j := range m.Instances {
-		fmt.Fprintf(bw, "  wire %s;\n", nets[m.NumInputs+j])
-	}
-	for j, inst := range m.Instances {
-		cell := m.Lib.Cells[inst.Cell]
-		fmt.Fprintf(bw, "  %s u%d(", cell.Name, j)
-		for p, f := range inst.Fanins {
-			fmt.Fprintf(bw, ".I%d(%s), ", p, nets[f])
-		}
-		fmt.Fprintf(bw, ".Z(%s));\n", nets[m.NumInputs+j])
-	}
-	for i, o := range m.Outputs {
-		fmt.Fprintf(bw, "  assign %s = %s;\n", outs[i], nets[o])
-	}
-	fmt.Fprintln(bw, "endmodule")
-	return bw.Flush()
 }

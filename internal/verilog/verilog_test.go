@@ -2,12 +2,10 @@ package verilog
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/blasys-go/blasys/internal/logic"
-	"github.com/blasys-go/blasys/internal/techmap"
 )
 
 func sampleCircuit() *logic.Circuit {
@@ -38,37 +36,6 @@ func TestWriteStructure(t *testing.T) {
 	// Every assign's RHS operands must be declared (inputs, wires, consts).
 	if strings.Count(v, "assign") < 3 {
 		t.Errorf("expected several assigns:\n%s", v)
-	}
-}
-
-func TestWriteMapped(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	b := logic.NewBuilder("m")
-	ins := b.Inputs("x", 5)
-	acc := ins[0]
-	for i := 1; i < 5; i++ {
-		if rng.Intn(2) == 0 {
-			acc = b.And(acc, ins[i])
-		} else {
-			acc = b.Xor(acc, ins[i])
-		}
-	}
-	b.Output("y", acc)
-	mapped, err := techmap.Map(b.C, techmap.DefaultLibrary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteMapped(&buf, mapped); err != nil {
-		t.Fatal(err)
-	}
-	v := buf.String()
-	if !strings.Contains(v, "module m(") || !strings.Contains(v, "endmodule") {
-		t.Errorf("malformed module:\n%s", v)
-	}
-	// One instance line per cell.
-	if got := strings.Count(v, ".Z("); got != mapped.NumCells() {
-		t.Errorf("%d instances written for %d cells", got, mapped.NumCells())
 	}
 }
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # bench.sh — run the benchmark suite and record the perf trajectory.
 #
-# Runs the root-package paper-reproduction benchmarks (Tables 1-3, Figures
-# 3-5, ablations, engine speedup) plus the hot-loop microbenchmarks
+# Runs the root-package benchmarks (simulator throughput, public API,
+# ablations, engine speedup) plus the hot-loop microbenchmarks
 # (BenchmarkFactorize / BenchmarkCompare / BenchmarkExplore, which record
 # candidate-evals/sec, explore-steps/sec, the parallel candidate-sweep
-# speedup, allocs/op, and the incremental engine's speedups over the pre-PR
+# speedup, allocs/op, and the incremental engine's speedups over the
 # full-rebuild path) and the internal/engine service benchmarks. The root
 # suite's headline metrics are written to BENCH_<date>.json in the repo root
 # via the -benchjson test flag; -benchmem adds allocation figures to the
@@ -17,8 +17,9 @@
 # TestMain afterwards — and output streams live.
 #
 # Microbenchmarks here measure single hot loops; the multi-seed experiment
-# grids that regenerate DESIGN.md's claims (with pass-criteria verdicts)
-# live next door: ./scripts/experiments/run_all.sh, docs/EXPERIMENTS.md.
+# grids that regenerate DESIGN.md's claims and the paper's tables (with
+# pass-criteria verdicts) live next door: ./scripts/experiments/run_all.sh,
+# scripts/paper/, docs/EXPERIMENTS.md.
 #
 # Usage:
 #   scripts/bench.sh                      # full suite, BENCH_$(date +%F).json

@@ -5,6 +5,11 @@
 #
 #   ./scripts/experiments/run_all.sh
 #
+# The paper grids (scripts/paper/) are not run here: their verdict grades the
+# reproduction against the published numbers and names rows that fail for
+# reasons DESIGN.md "Paper fidelity" explains. Run them one at a time with
+# blasys-exp -grid scripts/paper/<grid>.json.
+#
 # A fixed STAMP=YYYY-MM-DD_hhmmss makes the folder names reproducible.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
