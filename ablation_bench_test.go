@@ -4,78 +4,14 @@
 package blasys_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/blasys-go/blasys/internal/bench"
 	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/logic"
-	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/techmap"
-	"github.com/blasys-go/blasys/internal/tt"
 )
-
-// BenchmarkAblationPartitionRefine measures the boundary-net reduction the
-// KL-style refinement buys over plain greedy intervals.
-func BenchmarkAblationPartitionRefine(b *testing.B) {
-	c := logic.ReorderDFS(bench.Mult8().Circ)
-	cost := func(blocks []partition.Block) int {
-		n := 0
-		for _, blk := range blocks {
-			n += len(blk.Inputs) + len(blk.Outputs)
-		}
-		return n
-	}
-	var refined, plain int
-	for i := 0; i < b.N; i++ {
-		r, err := partition.Decompose(c, partition.Options{MaxInputs: 10, MaxOutputs: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := partition.Decompose(c, partition.Options{MaxInputs: 10, MaxOutputs: 10, DisableRefine: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		refined, plain = cost(r), cost(p)
-	}
-	reportMetric(b, float64(refined), "refined-boundary-nets")
-	reportMetric(b, float64(plain), "plain-boundary-nets")
-}
-
-// BenchmarkAblationBMFRefinement measures the error reduction of the exact
-// per-row refinement over greedy ASSO on random matrices.
-func BenchmarkAblationBMFRefinement(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	mats := make([]*tt.Matrix, 16)
-	for i := range mats {
-		m := tt.NewMatrix(256, 8)
-		for r := 0; r < 256; r++ {
-			for c := 0; c < 8; c++ {
-				m.Set(r, c, rng.Intn(2) == 1)
-			}
-		}
-		mats[i] = m
-	}
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		with, without = 0, 0
-		for _, m := range mats {
-			rw, err := bmf.Factorize(m, 4, bmf.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ro, err := bmf.Factorize(m, 4, bmf.Options{SkipRefine: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			with += rw.Hamming
-			without += ro.Hamming
-		}
-	}
-	reportMetric(b, float64(with), "hamming-with-refine")
-	reportMetric(b, float64(without), "hamming-without-refine")
-}
 
 // BenchmarkAblationBasis compares the column (structural) basis against the
 // unrestricted ASSO basis on a Mult8 block profile: error at equal degree

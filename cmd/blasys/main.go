@@ -41,16 +41,6 @@ import (
 	"github.com/blasys-go/blasys/internal/verilog"
 )
 
-var metricNames = map[string]qor.Metric{
-	"rel":     qor.AvgRelative,
-	"abs":     qor.AvgAbsolute,
-	"normabs": qor.NormAvgAbsolute,
-	"hamming": qor.MeanHamming,
-	"rate":    qor.ErrorRate,
-	"worst":   qor.WorstRelative,
-	"mse":     qor.MSE,
-}
-
 func main() {
 	var (
 		benchName    = flag.String("bench", "", "benchmark name ("+strings.Join(bench.Names(), ", ")+")")
@@ -111,18 +101,13 @@ func run(benchName, blifPath string, k, m int, threshold float64, metricName str
 	full bool, maxSteps int, lazy bool, workers int, tracePath, frontierPath, outPath, ckptPath, resumePath string,
 	deadline time.Duration, verbose bool) error {
 
-	metric, ok := metricNames[metricName]
-	if !ok {
-		return fmt.Errorf("unknown metric %q", metricName)
+	metric, err := qor.ParseMetric(metricName)
+	if err != nil {
+		return err
 	}
-	var sr bmf.Semiring
-	switch semiring {
-	case "or":
-		sr = bmf.Or
-	case "xor":
-		sr = bmf.Xor
-	default:
-		return fmt.Errorf("unknown semiring %q", semiring)
+	sr, err := bmf.ParseSemiring(semiring)
+	if err != nil {
+		return err
 	}
 
 	var circ *logic.Circuit

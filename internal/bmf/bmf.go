@@ -14,8 +14,8 @@
 // per-column weights so mismatches in high-significance output bits cost
 // more than low-bit mismatches ("weighted QoR").
 //
-// On top of ASSO, Factorize optionally runs an exact per-row refinement: with
-// C fixed, the optimal usage row B[r] is found by enumerating all 2^f
+// On top of ASSO, Factorize always runs an exact per-row refinement: with C
+// fixed, the optimal usage row B[r] is found by enumerating all 2^f
 // OR-combinations of C's rows (f ≤ MaxDegree ⇒ at most 2^12 candidates,
 // computed once and shared across rows). This never increases the weighted
 // error and substantially improves the greedy solution.
@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,14 +47,32 @@ const (
 	Xor
 )
 
+// semiringNames holds each semiring's name, which String returns and
+// ParseSemiring reads.
+var semiringNames = [...]string{Or: "or", Xor: "xor"}
+
+// Valid reports whether s is Or or Xor.
+func (s Semiring) Valid() bool { return s >= 0 && int(s) < len(semiringNames) }
+
 func (s Semiring) String() string {
-	switch s {
-	case Or:
-		return "or"
-	case Xor:
-		return "xor"
+	if s.Valid() {
+		return semiringNames[s]
 	}
 	return fmt.Sprintf("semiring(%d)", int(s))
+}
+
+// ParseSemiring returns the semiring with the given name (or, xor); ""
+// means the default, Or.
+func ParseSemiring(name string) (Semiring, error) {
+	if name == "" {
+		return Or, nil
+	}
+	for s, n := range semiringNames {
+		if n == name {
+			return Semiring(s), nil
+		}
+	}
+	return 0, fmt.Errorf("bmf: unknown semiring %q (known: %s)", name, strings.Join(semiringNames[:], ", "))
 }
 
 // Product computes the matrix product under the semiring.
@@ -68,9 +87,10 @@ func (s Semiring) Product(B, C *tt.Matrix) *tt.Matrix {
 // refinement enumeration (2^MaxDegree combinations are precomputed).
 const MaxDegree = 12
 
-// Options configures Factorize. The zero value selects sensible defaults:
-// OR semiring, uniform column weights, the standard ASSO threshold sweep,
-// cover weights w+ = w- = 1, and exact row refinement enabled.
+// Options configures Factorize. The zero value selects the OR semiring,
+// uniform column weights and the standard ASSO threshold sweep. ASSO's cover
+// weights are fixed at w+ = w- = 1, and the exact row refinement always
+// runs.
 type Options struct {
 	// Semiring selects OR (default) or XOR accumulation.
 	Semiring Semiring
@@ -85,13 +105,6 @@ type Options struct {
 	// DefaultTauSweep. This implements the paper's "sweep on the
 	// factorization threshold".
 	TauSweep []float64
-
-	// WPlus and WMinus are ASSO's cover bonuses/penalties for covering a
-	// 1-entry and erroneously covering a 0-entry. Zero values mean 1.
-	WPlus, WMinus float64
-
-	// SkipRefine disables the exact per-row refinement pass.
-	SkipRefine bool
 }
 
 // DefaultTauSweep is the association threshold sweep used when
@@ -188,8 +201,7 @@ const _ uint16 = 1<<MaxDegree - 1
 //     keeps the first zero diff or else the first strict minimum. One scan
 //     per row records its running winner at s = 2^f-1 for every f; a zero
 //     diff at s0 ends the scan and is the winner of every degree not yet
-//     recorded. Under SkipRefine, degree f's usage row is the greedy row
-//     masked to f bits.
+//     recorded.
 //   - Factorize picks, over the sweep, the first tau in sweep order with the
 //     least (WeightedError, Hamming). That is the minimum over
 //     (WeightedError, Hamming, tau index) whenever the errors compare (no
@@ -257,12 +269,6 @@ func newAssoPass(M *tt.Matrix, want []bool, opt Options) (*assoPass, error) {
 	if len(weights) != M.Cols {
 		return nil, fmt.Errorf("bmf: %d column weights for %d columns", len(weights), M.Cols)
 	}
-	if opt.WPlus == 0 {
-		opt.WPlus = 1
-	}
-	if opt.WMinus == 0 {
-		opt.WMinus = 1
-	}
 	if opt.TauSweep == nil {
 		opt.TauSweep = DefaultTauSweep
 	}
@@ -282,39 +288,28 @@ func newAssoPass(M *tt.Matrix, want []bool, opt Options) (*assoPass, error) {
 // degree's errors.
 type tauRun struct {
 	ti      int
-	B, C    *tt.Matrix
-	refined [][]uint16 // refined[f-1][r]; nil under SkipRefine
+	C       *tt.Matrix
+	refined [][]uint16 // refined[f-1][r]: degree f's usage row r
 	hamming []int
 	werr    []float64
-}
-
-// usage is degree f's usage row r: the refined winner, or the greedy row
-// masked to the first f basis rows.
-func (t *tauRun) usage(f, r int) uint64 {
-	if t.refined != nil {
-		return uint64(t.refined[f-1][r])
-	}
-	return t.B.Row[r] & (uint64(1)<<uint(f) - 1)
 }
 
 // tau factorizes at sweep[ti] for every wanted degree.
 func (p *assoPass) tau(ti int) *tauRun {
 	maxF := len(p.want)
 	t := &tauRun{ti: ti, hamming: make([]int, maxF), werr: make([]float64, maxF)}
-	t.B, t.C = asso(p.M, maxF, p.opt.TauSweep[ti], p.opt.WPlus, p.opt.WMinus, p.wt, p.stats, p.opt.Semiring)
+	t.C = asso(p.M, maxF, p.opt.TauSweep[ti], p.wt, p.stats)
 	combos := combinations(t.C, p.opt.Semiring)
-	if !p.opt.SkipRefine {
-		t.refined = refineRows(p.M, combos, p.want, p.wt)
-	}
-	// Row r of degree f's product B∘C is combos[usage(f, r)]; the errors sum
-	// exactly as tt.HammingDistance and WeightTable.WeightedHamming do over
-	// the materialized product.
+	t.refined = refineRows(p.M, combos, p.want, p.wt)
+	// Row r of degree f's product B∘C is combos[refined[f-1][r]]; the errors
+	// sum exactly as tt.HammingDistance and WeightTable.WeightedHamming do
+	// over the materialized product.
 	for f := 1; f <= maxF; f++ {
 		if !p.want[f-1] {
 			continue
 		}
 		for r, row := range p.M.Row {
-			if d := combos[t.usage(f, r)] ^ row; d != 0 {
+			if d := combos[t.refined[f-1][r]] ^ row; d != 0 {
 				t.hamming[f-1] += bits.OnesCount64(d)
 				t.werr[f-1] += p.wt.Sum(d)
 			}
@@ -337,7 +332,7 @@ func (p *assoPass) merge(t *tauRun) {
 			(h < cur.Hamming || (h == cur.Hamming && t.ti < p.bestTau[f-1]))) {
 			B := tt.NewMatrix(p.M.Rows, f)
 			for r := range B.Row {
-				B.Row[r] = t.usage(f, r)
+				B.Row[r] = uint64(t.refined[f-1][r])
 			}
 			p.best[f-1] = &Result{
 				B: B, C: tt.MatrixFromRows(p.M.Cols, t.C.Row[:f]),
@@ -349,8 +344,8 @@ func (p *assoPass) merge(t *tauRun) {
 }
 
 // asso is the greedy ASSO algorithm with weighted cover. It returns the
-// usage matrix B (n x f) and basis matrix C (f x m).
-func asso(M *tt.Matrix, f int, tau, wplus, wminus float64, wt *tt.WeightTable, stats *assoStats, sr Semiring) (B, C *tt.Matrix) {
+// basis matrix C (f x m); refinement derives the usage rows from C.
+func asso(M *tt.Matrix, f int, tau float64, wt *tt.WeightTable, stats *assoStats) *tt.Matrix {
 	n, m := M.Rows, M.Cols
 	cand := stats.rows(tau)
 	// Also offer the m unit rows as candidates so ASSO can always fall
@@ -360,8 +355,7 @@ func asso(M *tt.Matrix, f int, tau, wplus, wminus float64, wt *tt.WeightTable, s
 	}
 	cand = dedupe(cand)
 
-	B = tt.NewMatrix(n, f)
-	C = tt.NewMatrix(f, m)
+	C := tt.NewMatrix(f, m)
 	// covered[r] = current OR of selected basis rows used by row r
 	// (OR semiring greedy; the XOR variant reuses the same greedy seed and
 	// relies on refinement for field-accurate usage).
@@ -376,7 +370,7 @@ func asso(M *tt.Matrix, f int, tau, wplus, wminus float64, wt *tt.WeightTable, s
 		var bestRow uint64
 		found := false
 		for _, c := range cand {
-			gain := coverGainInto(M, covered, c, wplus, wminus, wt, use)
+			gain := coverGainInto(M, covered, c, wt, use)
 			if gain > bestGain {
 				bestGain = gain
 				bestRow = c
@@ -390,19 +384,19 @@ func asso(M *tt.Matrix, f int, tau, wplus, wminus float64, wt *tt.WeightTable, s
 		C.Row[i] = bestRow
 		for r := 0; r < n; r++ {
 			if bestUse[r] {
-				B.Set(r, i, true)
 				covered[r] |= bestRow
 			}
 		}
 	}
-	return B, C
+	return C
 }
 
 // coverGainInto evaluates adding basis row c: for every matrix row r it
-// decides whether using c improves the weighted cover, writing the per-row
-// usage decisions into use (every entry is overwritten) and returning the
-// total gain.
-func coverGainInto(M *tt.Matrix, covered []uint64, c uint64, wplus, wminus float64, wt *tt.WeightTable, use []bool) float64 {
+// decides whether using c improves the weighted cover (each newly covered 1
+// gains its weight, each newly covered 0 loses it: ASSO's w+ = w- = 1),
+// writing the per-row usage decisions into use (every entry is overwritten)
+// and returning the total gain.
+func coverGainInto(M *tt.Matrix, covered []uint64, c uint64, wt *tt.WeightTable, use []bool) float64 {
 	total := 0.0
 	for r := 0; r < M.Rows; r++ {
 		newly := c &^ covered[r] // bits this basis row would newly set
@@ -412,7 +406,7 @@ func coverGainInto(M *tt.Matrix, covered []uint64, c uint64, wplus, wminus float
 		}
 		good := newly & M.Row[r] // newly covered 1s
 		bad := newly &^ M.Row[r] // newly covered 0s (overcover)
-		g := wplus*wt.Sum(good) - wminus*wt.Sum(bad)
+		g := wt.Sum(good) - wt.Sum(bad)
 		if g > 0 {
 			use[r] = true
 			total += g

@@ -161,6 +161,20 @@ func TestWeightedReducesHighBitErrors(t *testing.T) {
 	}
 }
 
+func TestParseSemiring(t *testing.T) {
+	for name, want := range map[string]Semiring{"": Or, "or": Or, "xor": Xor} {
+		if got, err := ParseSemiring(name); err != nil || got != want {
+			t.Errorf("ParseSemiring(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseSemiring("nand"); err == nil {
+		t.Error("ParseSemiring accepted an unknown name")
+	}
+	if Semiring(2).Valid() || Semiring(-1).Valid() || !Xor.Valid() {
+		t.Error("Valid disagrees with the semiring constants")
+	}
+}
+
 func TestXorSemiringProductConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
@@ -191,6 +205,8 @@ func TestXorFullDegreeExact(t *testing.T) {
 	}
 }
 
+// TestRefinementNeverHurts checks Factorize against the greedy ASSO
+// factorization its refinement starts from, at every tau of the sweep.
 func TestRefinementNeverHurts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -200,11 +216,15 @@ func TestRefinementNeverHurts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		without, err := Factorize(M, deg, Options{SkipRefine: true})
-		if err != nil {
-			return false
+		wt := tt.NewWeightTable(tt.UniformWeights(M.Cols))
+		stats := newAssoStats(M)
+		for _, tau := range DefaultTauSweep {
+			B, C := assoRef(M, deg, tau, wt, stats)
+			if with.WeightedError > wt.WeightedHamming(M, tt.BoolProductOR(B, C)) {
+				return false
+			}
 		}
-		return with.WeightedError <= without.WeightedError
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -255,7 +275,7 @@ func TestTauMergeOrderMatchesReference(t *testing.T) {
 	ties := 0
 	for trial := 0; trial < 40; trial++ {
 		M := randomMatrix(rng, 1+rng.Intn(128), 2+rng.Intn(9), rng.Float64())
-		opt := Options{SkipRefine: trial%2 == 1}
+		var opt Options
 		if trial%4 >= 2 {
 			opt.ColWeights = tt.PowerOfTwoWeights(M.Cols)
 		}

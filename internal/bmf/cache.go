@@ -26,8 +26,10 @@ const (
 )
 
 // keyFor hashes a factorization problem. Defaults are normalized before
-// hashing (nil weights, nil sweep, zero w+/w-) so an explicit default and an
-// implied one share a key.
+// hashing (nil sweep) so an explicit default and an implied one share a key.
+// The key still hashes a refine byte (0) and ASSO's cover weights (1.0 and
+// 1.0), once options and now constants, so keys and disk-cache entries
+// written while they were options still hit.
 func keyFor(family byte, M *tt.Matrix, f int, opt Options) Key {
 	h := sha256.New()
 	var buf [8]byte
@@ -37,27 +39,15 @@ func keyFor(family byte, M *tt.Matrix, f int, opt Options) Key {
 	}
 	writeFloat := func(v float64) { writeInt(math.Float64bits(v)) }
 
-	h.Write([]byte{family, byte(opt.Semiring)})
-	if opt.SkipRefine {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
+	h.Write([]byte{family, byte(opt.Semiring), 0})
 	writeInt(uint64(f))
 	writeInt(uint64(M.Rows))
 	writeInt(uint64(M.Cols))
 	for _, r := range M.Row {
 		writeInt(r)
 	}
-	wplus, wminus := opt.WPlus, opt.WMinus
-	if wplus == 0 {
-		wplus = 1
-	}
-	if wminus == 0 {
-		wminus = 1
-	}
-	writeFloat(wplus)
-	writeFloat(wminus)
+	writeFloat(1) // w+
+	writeFloat(1) // w-
 	if opt.ColWeights == nil {
 		writeInt(0) // uniform marker
 	} else {

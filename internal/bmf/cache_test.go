@@ -1,6 +1,7 @@
 package bmf
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -26,7 +27,7 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		t.Fatal("identical problems hash to different keys")
 	}
 	// Normalized defaults share a key with explicit ones.
-	if k := keyFor(familyColumns, M, 2, Options{WPlus: 1, WMinus: 1, TauSweep: DefaultTauSweep}); k != base {
+	if k := keyFor(familyColumns, M, 2, Options{TauSweep: DefaultTauSweep}); k != base {
 		t.Fatal("normalized defaults should hash like implied defaults")
 	}
 	distinct := []Key{
@@ -35,7 +36,6 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		keyFor(familyColumns, M, 2, Options{Semiring: Xor}),
 		keyFor(familyColumns, M, 2, Options{ColWeights: tt.PowerOfTwoWeights(4)}),
 		keyFor(familyColumns, M, 2, Options{TauSweep: []float64{0.5}}),
-		keyFor(familyColumns, M, 2, Options{SkipRefine: true}),
 	}
 	seen := map[Key]bool{base: true}
 	for i, k := range distinct {
@@ -49,6 +49,27 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	M2.Set(3, 1, !M2.Get(3, 1))
 	if keyFor(familyColumns, M2, 2, Options{}) == base {
 		t.Fatal("matrix content not reflected in key")
+	}
+}
+
+// TestKeysPinned pins keys recorded before the refine switch and ASSO's
+// cover weights became constants: the key must keep hashing them as the
+// option defaults did, or every disk-cache entry written earlier misses.
+func TestKeysPinned(t *testing.T) {
+	M := testMatrix()
+	for _, tc := range []struct {
+		name string
+		key  Key
+		want string
+	}{
+		{"asso", KeyFor(M, 2, Options{}), "c5f74e81dfa90698d66a8a60817e5ba77f4b3922c9412809818830fe6a41c8ab"},
+		{"columns", KeyForColumns(M, 2, Options{}), "c4ff0d461a42f42638bef67bf6b6f983ab3bdbd62f89801e56833950330c4ece"},
+		{"asso xor weighted", KeyFor(M, 3, Options{Semiring: Xor, ColWeights: tt.PowerOfTwoWeights(4), TauSweep: []float64{0.25, 0.75}}),
+			"de78d652206d9792ee712e4df79ac54326f17b90423af261cda6b1b4865ee125"},
+	} {
+		if got := hex.EncodeToString(tc.key[:]); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

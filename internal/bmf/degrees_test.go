@@ -76,29 +76,27 @@ func degreeProblems(t *testing.T) []degreeProblem {
 // TestFactorizeDegreesMatchesReference checks the all-degree ASSO kernel
 // against the per-degree reference (greedy restarted per degree, refinement
 // over 2^f, serial sweep-order tau selection), field for field and bit for
-// bit, over {OR, XOR} x {uniform, power-of-two weights} x {refine,
-// SkipRefine} x {default, 3-tau sweep}. The single-degree Factorize runs the
+// bit, over {OR, XOR} x {uniform, power-of-two weights} x {default, 3-tau
+// sweep}. The single-degree Factorize runs the
 // same kernel with one wanted degree; it is checked at every degree of the
 // random matrices in every variant and of every block at the defaults.
 func TestFactorizeDegreesMatchesReference(t *testing.T) {
 	problems := degreeProblems(t)
 	for _, sr := range []bmf.Semiring{bmf.Or, bmf.Xor} {
 		for _, pow2 := range []bool{false, true} {
-			for _, skip := range []bool{false, true} {
-				for _, sweep := range [][]float64{nil, {0.3, 0.6, 0.9}} {
-					opt := bmf.Options{Semiring: sr, SkipRefine: skip, TauSweep: sweep}
-					defaults := sr == bmf.Or && !pow2 && !skip && sweep == nil
-					t.Run(fmt.Sprintf("%v/pow2=%v/skip=%v/taus=%d", sr, pow2, skip, len(sweep)), func(t *testing.T) {
-						t.Parallel()
-						for _, p := range problems {
-							opt := opt
-							if pow2 {
-								opt.ColWeights = tt.PowerOfTwoWeights(p.M.Cols)
-							}
-							checkDegrees(t, p, opt, defaults || p.random)
+			for _, sweep := range [][]float64{nil, {0.3, 0.6, 0.9}} {
+				opt := bmf.Options{Semiring: sr, TauSweep: sweep}
+				defaults := sr == bmf.Or && !pow2 && sweep == nil
+				t.Run(fmt.Sprintf("%v/pow2=%v/taus=%d", sr, pow2, len(sweep)), func(t *testing.T) {
+					t.Parallel()
+					for _, p := range problems {
+						opt := opt
+						if pow2 {
+							opt.ColWeights = tt.PowerOfTwoWeights(p.M.Cols)
 						}
-					})
-				}
+						checkDegrees(t, p, opt, defaults || p.random)
+					}
+				})
 			}
 		}
 	}
@@ -134,7 +132,7 @@ func checkDegrees(t *testing.T, p degreeProblem, opt bmf.Options, single bool) {
 }
 
 // TestFactorizeColumnsDegreesMatchesReference is the same check for the
-// column-basis kernel, which reads neither SkipRefine nor the tau sweep.
+// column-basis kernel, which does not read the tau sweep.
 func TestFactorizeColumnsDegreesMatchesReference(t *testing.T) {
 	problems := degreeProblems(t)
 	for _, sr := range []bmf.Semiring{bmf.Or, bmf.Xor} {

@@ -20,13 +20,6 @@ func factorizeRef(M *tt.Matrix, f int, opt Options) *Result {
 	if weights == nil {
 		weights = tt.UniformWeights(M.Cols)
 	}
-	wplus, wminus := opt.WPlus, opt.WMinus
-	if wplus == 0 {
-		wplus = 1
-	}
-	if wminus == 0 {
-		wminus = 1
-	}
 	sweep := opt.TauSweep
 	if sweep == nil {
 		sweep = DefaultTauSweep
@@ -35,10 +28,8 @@ func factorizeRef(M *tt.Matrix, f int, opt Options) *Result {
 	wt := tt.NewWeightTable(weights)
 	var best *Result
 	for _, tau := range sweep {
-		B, C := assoRef(M, f, tau, wplus, wminus, wt, stats)
-		if !opt.SkipRefine {
-			refineRowsRef(M, B, C, wt, opt.Semiring)
-		}
+		B, C := assoRef(M, f, tau, wt, stats)
+		refineRowsRef(M, B, C, wt, opt.Semiring)
 		prod := opt.Semiring.Product(B, C)
 		res := &Result{
 			B:             B,
@@ -55,7 +46,7 @@ func factorizeRef(M *tt.Matrix, f int, opt Options) *Result {
 	return best
 }
 
-func assoRef(M *tt.Matrix, f int, tau, wplus, wminus float64, wt *tt.WeightTable, stats *assoStats) (B, C *tt.Matrix) {
+func assoRef(M *tt.Matrix, f int, tau float64, wt *tt.WeightTable, stats *assoStats) (B, C *tt.Matrix) {
 	n, m := M.Rows, M.Cols
 	cand := stats.rows(tau)
 	for j := 0; j < m; j++ {
@@ -72,7 +63,7 @@ func assoRef(M *tt.Matrix, f int, tau, wplus, wminus float64, wt *tt.WeightTable
 		var bestRow uint64
 		found := false
 		for _, c := range cand {
-			gain := coverGainInto(M, covered, c, wplus, wminus, wt, use)
+			gain := coverGainInto(M, covered, c, wt, use)
 			if gain > bestGain {
 				bestGain = gain
 				bestRow = c

@@ -30,12 +30,13 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
+	"strings"
 
 	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
+	"github.com/blasys-go/blasys/internal/sched"
 	"github.com/blasys-go/blasys/internal/synth"
 	"github.com/blasys-go/blasys/internal/techmap"
 	"github.com/blasys-go/blasys/internal/telemetry"
@@ -45,36 +46,45 @@ import (
 // (*Config).withDefaults: k = m = 10 (the paper's choice), average relative
 // error metric, 5% threshold, 2^16 exploration samples, OR semiring,
 // weighted QoR off.
+//
+// The JSON form holds every field that shapes the result and is what the
+// job store journals; the enums are written as integers. The runtime-only
+// fields (Lib, Progress, Cache, Checkpoint, Resume, Span) are not encoded,
+// so a journaled job always runs on the default library.
 type Config struct {
 	// K and M bound block inputs and outputs (paper: 10 and 10).
-	K, M int
+	K int `json:"k,omitempty"`
+	M int `json:"m,omitempty"`
 	// Metric drives exploration and the threshold.
-	Metric qor.Metric
+	Metric qor.Metric `json:"metric,omitempty"`
 	// Threshold is the QoR budget (e.g. 0.05 for 5% average relative
 	// error).
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// Samples is the Monte-Carlo sample count used during exploration.
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// Seed makes the whole flow deterministic.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Weighted enables the paper's weighted-QoR factorization (§3.2):
 	// block-output columns are weighted by their influence on significant
 	// primary-output bits instead of uniformly.
-	Weighted bool
+	Weighted bool `json:"weighted,omitempty"`
 	// Semiring selects OR (paper default) or XOR decompressors.
-	Semiring bmf.Semiring
+	Semiring bmf.Semiring `json:"semiring,omitempty"`
 	// TauSweep overrides the ASSO threshold sweep (nil = default).
-	TauSweep []float64
+	TauSweep []float64 `json:"tau_sweep,omitempty"`
 	// Lib is the technology library for area modeling (nil = default 65nm).
-	Lib *techmap.Library
+	Lib *techmap.Library `json:"-"`
 	// ExploreFully continues past the threshold until every block reaches
 	// degree 1, recording the full trade-off curve.
-	ExploreFully bool
+	ExploreFully bool `json:"explore_fully,omitempty"`
 	// MaxSteps caps exploration iterations (0 = unlimited).
-	MaxSteps int
-	// Parallelism bounds the block-profiling goroutines (0 = GOMAXPROCS)
-	// and is the default for Workers. No result depends on it.
-	Parallelism int
+	MaxSteps int `json:"max_steps,omitempty"`
+	// Parallelism bounds the block-profiling workers (0 = GOMAXPROCS) and
+	// is the default for Workers. Like the sweep's, extra profiling workers
+	// draw goroutine tokens from the machine-wide budget
+	// (internal/sched.Claim), so profiling, the tau sweeps inside it, and
+	// every other job share one budget. No result depends on it.
+	Parallelism int `json:"parallelism,omitempty"`
 	// Workers bounds the explorer's candidate-sweep worker pool
 	// (0 = Parallelism, whose default is GOMAXPROCS). Each worker claims
 	// the sweep's next unevaluated candidate until none is left; results
@@ -85,17 +95,19 @@ type Config struct {
 	// batch writes only its own state. Extra workers draw goroutine tokens
 	// from the machine-wide budget shared with the BMF tau sweep
 	// (internal/sched.Claim); when none is free the calling goroutine does
-	// the whole sweep or commit. Workers also sets how far the lazy explorer
-	// looks ahead (up to Workers stale candidates per sweep); it never
-	// changes the lazy walk.
-	Workers int
+	// the whole sweep or commit. So no sweep runs more than sched.Budget()+1
+	// workers, and the explorer allocates at most that many shards whatever
+	// Workers asks for. Workers also sets how far the lazy explorer looks
+	// ahead (up to that many stale candidates per sweep); it never changes
+	// the lazy walk.
+	Workers int `json:"workers,omitempty"`
 	// SynthExact uses exact two-level minimization for block synthesis.
-	SynthExact bool
+	SynthExact bool `json:"synth_exact,omitempty"`
 	// Basis selects the factor family; see the Basis constants.
-	Basis Basis
+	Basis Basis `json:"basis,omitempty"`
 	// Sequence, when non-nil, evaluates QoR with accumulator feedback
 	// (multi-cycle error, used for MAC/SAD).
-	Sequence *qor.Sequence
+	Sequence *qor.Sequence `json:"sequence,omitempty"`
 	// Lazy switches the exploration to lazy greedy, a faster heuristic than
 	// Algorithm 1: each candidate's last measurement stands as its estimate
 	// after a commit, and only a leading stale estimate is re-measured, at a
@@ -105,36 +117,36 @@ type Config struct {
 	// accurate area) at 2^13 samples, and worse on MAC and FIR at paper
 	// defaults. No result depends on Workers or Parallelism. Default off
 	// (paper-literal exhaustive re-evaluation).
-	Lazy bool
+	Lazy bool `json:"lazy,omitempty"`
 	// Progress, when non-nil, receives one TracePoint per committed
 	// exploration step, in commit order, called synchronously from the
 	// exploring goroutine. Keep it fast (e.g. append to a buffer or send on
 	// a buffered channel): a blocking hook stalls the exploration.
-	Progress func(TracePoint)
+	Progress func(TracePoint) `json:"-"`
 	// Cache, when non-nil, memoizes block factorizations by truth-table
 	// content (see bmf.Cache). Sharing one cache across Approximate calls
 	// lets repeated or overlapping runs skip re-factorization entirely.
-	Cache bmf.Cache
+	Cache bmf.Cache `json:"-"`
 	// Checkpoint, when non-nil, receives a serializable ExplorerState after
 	// every committed exploration step, called synchronously from the
 	// exploring goroutine right after Progress. The state is a deep copy:
 	// safe to retain, serialize, or hand off. Feeding a checkpointed state
 	// back through Resume continues the walk from that step with
 	// bit-identical results.
-	Checkpoint func(ExplorerState)
+	Checkpoint func(ExplorerState) `json:"-"`
 	// Resume, when non-nil, restores a previously checkpointed exploration:
 	// profiling still runs (deterministically, and cheaply under a warm
 	// Cache), the committed trajectory is replayed onto the evaluator, and
 	// the explorer continues at Resume.Step instead of step 0. The state
 	// must come from a run with a matching configuration (see
 	// ExplorerState.ConfigDigest).
-	Resume *ExplorerState
+	Resume *ExplorerState `json:"-"`
 	// Span, when non-nil, is the parent telemetry span the flow records its
 	// stages under ("profile", "explore", per-step "step" children). A nil
 	// span disables stage recording at zero cost; like Progress and
 	// Checkpoint, the field is pure observability and excluded from the
 	// checkpoint config digest.
-	Span *telemetry.Span
+	Span *telemetry.Span `json:"-"`
 	// DisableIncremental forces exploration candidates to be evaluated by
 	// materializing the whole substituted circuit and resimulating it
 	// (logic.ReplaceBlocks + a full qor comparison), exactly as Algorithm 1
@@ -144,7 +156,7 @@ type Config struct {
 	// escape hatch exists for validation and A/B benchmarking. Sequence
 	// evaluation always uses the full path: feedback makes every cycle's
 	// state candidate-dependent, so there is no reusable baseline.
-	DisableIncremental bool
+	DisableIncremental bool `json:"disable_incremental,omitempty"`
 }
 
 // Basis selects the BMF family used for block variants.
@@ -165,14 +177,46 @@ const (
 	BasisASSO
 )
 
+// basisNames holds each basis's name, which String returns and ParseBasis
+// reads.
+var basisNames = [...]string{BasisColumns: "columns", BasisASSO: "asso"}
+
+func (b Basis) valid() bool { return b >= 0 && int(b) < len(basisNames) }
+
 func (b Basis) String() string {
-	switch b {
-	case BasisColumns:
-		return "columns"
-	case BasisASSO:
-		return "asso"
+	if b.valid() {
+		return basisNames[b]
 	}
 	return fmt.Sprintf("basis(%d)", int(b))
+}
+
+// ParseBasis returns the basis with the given name (columns, asso); ""
+// means the default, BasisColumns.
+func ParseBasis(name string) (Basis, error) {
+	if name == "" {
+		return BasisColumns, nil
+	}
+	for b, n := range basisNames {
+		if n == name {
+			return Basis(b), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown basis %q (known: %s)", name, strings.Join(basisNames[:], ", "))
+}
+
+// validate rejects enum values that name no constant. A caller or a job
+// journal can hold any integer; an unknown metric would panic mid-walk,
+// and an unknown semiring or basis would run as OR or columns.
+func (c Config) validate() error {
+	switch {
+	case !c.Metric.Valid():
+		return fmt.Errorf("core: unknown metric %d", int(c.Metric))
+	case !c.Semiring.Valid():
+		return fmt.Errorf("core: unknown semiring %d", int(c.Semiring))
+	case !c.Basis.valid():
+		return fmt.Errorf("core: unknown basis %d", int(c.Basis))
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -275,6 +319,9 @@ func ApproximateCtx(ctx context.Context, c *logic.Circuit, spec qor.OutputSpec, 
 func approximate(ctx context.Context, c *logic.Circuit, spec qor.OutputSpec, cfg Config,
 	newEval func(*Result, []partition.Block, Config) (candidateEvaluator, error)) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -483,25 +530,19 @@ func blockOutputWeights(c *logic.Circuit, blocks []partition.Block, spec qor.Out
 	return out
 }
 
-// profileBlocks runs Alg. 1's profiling phase in parallel across blocks.
+// profileBlocks runs Alg. 1's profiling phase in parallel across blocks, on
+// up to Parallelism workers drawn from the machine-wide sched budget. Each
+// block writes only its own slot, and the first error in block order wins.
 func profileBlocks(ctx context.Context, c *logic.Circuit, blocks []partition.Block, weights [][]float64, cfg Config) ([]*BlockProfile, error) {
 	profiles := make([]*BlockProfile, len(blocks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
 	errs := make([]error, len(blocks))
-	for bi := range blocks {
-		if err := ctx.Err(); err != nil {
-			break // drain what was launched, then report cancellation
+	sched.Claim(cfg.Parallelism, len(blocks), func(_, bi int) bool {
+		if ctx.Err() != nil {
+			return false
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(bi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			profiles[bi], errs[bi] = profileBlock(ctx, c, blocks[bi], weights[bi], cfg)
-		}(bi)
-	}
-	wg.Wait()
+		profiles[bi], errs[bi] = profileBlock(ctx, c, blocks[bi], weights[bi], cfg)
+		return errs[bi] == nil
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -630,8 +671,10 @@ func explore(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config
 			Step: -1, BlockIndex: -1, ModelArea: res.AccurateModelArea,
 		}))
 	}
+	// sched.Claim never runs more than the budget's tokens plus the calling
+	// goroutine, so more shards than that would only take memory.
 	e := &explorer{ctx: ctx, res: res, ce: ce, cfg: cfg, degrees: res.DegreesAt(len(res.Steps) - 1),
-		shards: ce.shards(cfg.Workers), cands: initialCandidates(res, cfg.Resume)}
+		shards: ce.shards(min(cfg.Workers, sched.Budget()+1)), cands: initialCandidates(res, cfg.Resume)}
 	pick := e.pickExhaustive
 	if cfg.Lazy {
 		pick = e.pickLazy

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/qor"
 )
 
@@ -86,6 +88,14 @@ func TestBasisString(t *testing.T) {
 	if Basis(9).String() == "" {
 		t.Error("unknown basis should still render")
 	}
+	for name, want := range map[string]Basis{"": BasisColumns, "columns": BasisColumns, "asso": BasisASSO} {
+		if got, err := ParseBasis(name); err != nil || got != want {
+			t.Errorf("ParseBasis(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseBasis("rows"); err == nil {
+		t.Error("ParseBasis accepted an unknown name")
+	}
 }
 
 func TestApproximateRejectsInvalidCircuit(t *testing.T) {
@@ -96,6 +106,23 @@ func TestApproximateRejectsInvalidCircuit(t *testing.T) {
 	c.Nodes[gate].Fanin[0] = 999
 	if _, err := Approximate(c, qor.Unsigned("s", 5), quickCfg()); err == nil {
 		t.Error("accepted corrupt circuit")
+	}
+}
+
+// TestApproximateRejectsUnknownEnums checks that an enum value naming no
+// constant fails the call before profiling, instead of panicking mid-walk
+// (metric) or silently running the default (semiring, basis).
+func TestApproximateRejectsUnknownEnums(t *testing.T) {
+	c := rippleAdder(4)
+	for _, bad := range []Config{
+		{Metric: qor.Metric(42)}, {Metric: -1}, {Semiring: bmf.Semiring(5)}, {Basis: Basis(9)},
+	} {
+		cfg := quickCfg()
+		cfg.Metric, cfg.Semiring, cfg.Basis = bad.Metric, bad.Semiring, bad.Basis
+		if _, err := Approximate(c, qor.Unsigned("s", 5), cfg); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("metric %d semiring %d basis %d: err %v, want an unknown-value error",
+				int(bad.Metric), int(bad.Semiring), int(bad.Basis), err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/blasys-go/blasys/internal/blif"
 	"github.com/blasys-go/blasys/internal/partition"
 	"github.com/blasys-go/blasys/internal/qor"
+	"github.com/blasys-go/blasys/internal/sched"
 )
 
 // TestParallelSweepDeterminism explores example circuits with Workers = 1,
@@ -97,6 +98,39 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardCountBoundedByBudget asks for 2^40 workers and records how many
+// shards the explorer requests: no more than sched.Claim can run at once.
+// The wrapped evaluator builds at most 4 real shards whatever it is asked
+// for, so the test allocates nothing per requested worker.
+func TestShardCountBoundedByBudget(t *testing.T) {
+	asked := -1
+	newEval := func(res *Result, blocks []partition.Block, cfg Config) (candidateEvaluator, error) {
+		ce, err := newCandidateEvaluator(res, blocks, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &shardCountEval{candidateEvaluator: ce, asked: &asked}, nil
+	}
+	c := rippleAdder(8)
+	cfg := Config{K: 6, M: 4, Samples: 1 << 8, Seed: 1, ExploreFully: true, MaxSteps: 3, Workers: 1 << 40}
+	if _, err := approximate(context.Background(), c, qor.Unsigned("sum", 9), cfg, newEval); err != nil {
+		t.Fatal(err)
+	}
+	if limit := sched.Budget() + 1; asked < 1 || asked > limit {
+		t.Fatalf("explorer asked for %d shards, want 1..%d (the sched budget plus the caller)", asked, limit)
+	}
+}
+
+type shardCountEval struct {
+	candidateEvaluator
+	asked *int
+}
+
+func (e *shardCountEval) shards(n int) []candidateShard {
+	*e.asked = n
+	return e.candidateEvaluator.shards(min(n, 4))
 }
 
 // assertSameExploration requires identical trajectories and identical

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/core"
@@ -11,77 +9,38 @@ import (
 	"github.com/blasys-go/blasys/internal/qor"
 )
 
-// metricNames maps wire names to metrics, mirroring cmd/blasys's flags.
-var metricNames = map[string]qor.Metric{
-	"":        qor.AvgRelative,
-	"rel":     qor.AvgRelative,
-	"abs":     qor.AvgAbsolute,
-	"normabs": qor.NormAvgAbsolute,
-	"hamming": qor.MeanHamming,
-	"rate":    qor.ErrorRate,
-	"worst":   qor.WorstRelative,
-	"mse":     qor.MSE,
-}
+// GroupConfig is the wire form of one output group: qor.Group under its
+// JSON tags.
+type GroupConfig = qor.Group
 
-var semiringNames = map[string]bmf.Semiring{
-	"":    bmf.Or,
-	"or":  bmf.Or,
-	"xor": bmf.Xor,
-}
-
-var basisNames = map[string]core.Basis{
-	"":        core.BasisColumns,
-	"columns": core.BasisColumns,
-	"asso":    core.BasisASSO,
-}
-
-func knownNames[T any](m map[string]T) string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		if k != "" {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// GroupConfig is the wire form of one output group of a qor.OutputSpec.
-type GroupConfig struct {
-	Name string `json:"name"`
-	// Bits lists primary-output indices, least significant first.
-	Bits   []int `json:"bits"`
-	Signed bool  `json:"signed,omitempty"`
-}
-
-// SequenceConfig is the wire form of qor.Sequence (accumulator feedback).
-type SequenceConfig struct {
-	Steps int `json:"steps"`
-	// Feedback lists [output index, input index] pairs applied per cycle.
-	Feedback [][2]int `json:"feedback"`
-}
+// SequenceConfig is the wire form of accumulator feedback: qor.Sequence
+// under its JSON tags.
+type SequenceConfig = qor.Sequence
 
 // JobConfig is the JSON configuration accepted by POST /v1/jobs. Every field
 // is optional; zero values fall through to the core defaults (k = m = 10,
 // 5% average-relative-error threshold, 2^16 samples, OR semiring, column
-// basis).
+// basis). The metric, semiring and basis are names, parsed by
+// qor.ParseMetric, bmf.ParseSemiring and core.ParseBasis; the job journal
+// stores the resulting core.Config, with those enums as integers.
 type JobConfig struct {
 	K            int     `json:"k,omitempty"`
 	M            int     `json:"m,omitempty"`
-	Metric       string  `json:"metric,omitempty"` // rel, abs, normabs, hamming, rate, worst, mse
+	Metric       string  `json:"metric,omitempty"`
 	Threshold    float64 `json:"threshold,omitempty"`
 	Samples      int     `json:"samples,omitempty"`
 	Seed         int64   `json:"seed,omitempty"`
 	Weighted     bool    `json:"weighted,omitempty"`
-	Semiring     string  `json:"semiring,omitempty"` // or, xor
-	Basis        string  `json:"basis,omitempty"`    // columns, asso
+	Semiring     string  `json:"semiring,omitempty"`
+	Basis        string  `json:"basis,omitempty"`
 	ExploreFully bool    `json:"explore_fully,omitempty"`
 	MaxSteps     int     `json:"max_steps,omitempty"`
 	Lazy         bool    `json:"lazy,omitempty"`
 	Parallelism  int     `json:"parallelism,omitempty"`
 	// Workers bounds the per-step candidate-sweep worker pool (0 = the
-	// job's parallelism). Any value yields bit-identical results; see
-	// core.Config.Workers.
+	// job's parallelism). Any value yields bit-identical results, and the
+	// explorer never allocates more shards than the machine-wide goroutine
+	// budget can run; see core.Config.Workers.
 	Workers    int  `json:"workers,omitempty"`
 	SynthExact bool `json:"synth_exact,omitempty"`
 
@@ -103,19 +62,19 @@ type JobConfig struct {
 // CoreConfig translates the wire config into a core.Config. Defaults are
 // left zero for core's own withDefaults to complete.
 func (jc JobConfig) CoreConfig() (core.Config, error) {
-	metric, ok := metricNames[jc.Metric]
-	if !ok {
-		return core.Config{}, fmt.Errorf("engine: unknown metric %q (known: %s)", jc.Metric, knownNames(metricNames))
+	metric, err := qor.ParseMetric(jc.Metric)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("engine: %w", err)
 	}
-	semiring, ok := semiringNames[jc.Semiring]
-	if !ok {
-		return core.Config{}, fmt.Errorf("engine: unknown semiring %q (known: %s)", jc.Semiring, knownNames(semiringNames))
+	semiring, err := bmf.ParseSemiring(jc.Semiring)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("engine: %w", err)
 	}
-	basis, ok := basisNames[jc.Basis]
-	if !ok {
-		return core.Config{}, fmt.Errorf("engine: unknown basis %q (known: %s)", jc.Basis, knownNames(basisNames))
+	basis, err := core.ParseBasis(jc.Basis)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("engine: %w", err)
 	}
-	cfg := core.Config{
+	return core.Config{
 		K: jc.K, M: jc.M,
 		Metric:       metric,
 		Threshold:    jc.Threshold,
@@ -130,11 +89,8 @@ func (jc JobConfig) CoreConfig() (core.Config, error) {
 		Parallelism:  jc.Parallelism,
 		Workers:      jc.Workers,
 		SynthExact:   jc.SynthExact,
-	}
-	if jc.Sequence != nil {
-		cfg.Sequence = &qor.Sequence{Steps: jc.Sequence.Steps, Feedback: jc.Sequence.Feedback}
-	}
-	return cfg, nil
+		Sequence:     jc.Sequence,
+	}, nil
 }
 
 // Spec resolves the output interpretation for a circuit: the configured
@@ -154,7 +110,7 @@ func (jc JobConfig) Spec(c *logic.Circuit) (qor.OutputSpec, error) {
 					g.Name, bit, c.NumOutputs())
 			}
 		}
-		spec.Groups = append(spec.Groups, qor.Group{Name: g.Name, Bits: g.Bits, Signed: g.Signed})
+		spec.Groups = append(spec.Groups, g)
 	}
 	return spec, nil
 }

@@ -82,9 +82,11 @@ type Options struct {
 	// unbounded memory growth under heavy traffic).
 	QueueSize int
 	// JobParallelism overrides core.Config.Parallelism for every job whose
-	// config leaves it unset, when the job runs. With several workers
-	// sharing the machine, GOMAXPROCS per job oversubscribes; a serve
-	// deployment typically sets this to GOMAXPROCS / Workers. It is a
+	// config leaves it unset, when the job runs. Every job's extra profiling
+	// and sweep workers already draw from one machine-wide goroutine budget
+	// (internal/sched), so this does not bound the CPU; it bounds how many
+	// of those tokens one job may hold, so that concurrent jobs share them.
+	// A serve deployment typically sets it to GOMAXPROCS / Workers. It is a
 	// scheduling choice only: no job's result depends on it, so a restarted
 	// server may resume a job under another value.
 	JobParallelism int
@@ -322,10 +324,10 @@ func (e *Engine) SubmitAttach(req Request) (job *Job, deduped bool, err error) {
 	// immediately, and every later write needs the journal to already exist
 	// or the job would replay as never-run after a restart.
 	if e.opts.Store != nil && req.Config.Lib != nil {
-		// ConfigRecord cannot journal a library; a restarted run would use
-		// the default one. The ConfigDigest hashes library content, so a
-		// checkpointed resume fails loudly rather than diverging silently —
-		// warn at submit time so the operator knows why.
+		// The journal does not hold core.Config.Lib; a restarted run would
+		// use the default library. The ConfigDigest hashes library content,
+		// so a checkpointed resume fails loudly rather than diverging
+		// silently — warn at submit time so the operator knows why.
 		e.opts.Logger.Warn("engine: job uses a custom technology library, which the store cannot journal; the job will not resume across a restart", "job", job.ID)
 	}
 	e.write(job, job.outcome, true)

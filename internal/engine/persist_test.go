@@ -15,6 +15,7 @@ import (
 
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/faults"
+	"github.com/blasys-go/blasys/internal/qor"
 	"github.com/blasys-go/blasys/internal/store"
 )
 
@@ -382,6 +383,51 @@ func TestRestartRunningJobWithoutCheckpointRestartsFromStepZero(t *testing.T) {
 	// From step 0: the trace covers every committed step.
 	if snap := j.Snapshot(true); len(snap.Trace) != len(res.Steps) {
 		t.Fatalf("trace %d points for %d steps", len(snap.Trace), len(res.Steps))
+	}
+}
+
+// TestJournaledUnknownEnumFailsJob resumes a queued job whose journal holds
+// metric 42, a value no client can submit but a damaged or hand-edited
+// journal can. The job must end failed and the engine keep serving.
+func TestJournaledUnknownEnumFailsJob(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	req := adderRequest(t, 4, persistCfg())
+	req.Config.Metric = qor.Metric(42)
+	rr, err := store.NewRequestRecord(req.Circuit, req.Spec, req.Config, "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, err := st.Journal("job-metric42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Request(rr); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.State("queued", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{Workers: 1, Store: st, Resume: true})
+	defer e.Close()
+	j, err := e.Get("job-metric42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if j.State() != StateFailed || j.Err() == nil || !strings.Contains(j.Err().Error(), "unknown metric") {
+		t.Fatalf("job: %s (%v), want failed on the unknown metric", j.State(), j.Err())
+	}
+	next, err := e.Submit(adderRequest(t, 4, persistCfg()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, next)
+	if next.State() != StateDone {
+		t.Fatalf("next job: %s (%v)", next.State(), next.Err())
 	}
 }
 

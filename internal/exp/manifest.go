@@ -98,7 +98,8 @@ type Axes struct {
 	// grid through a durable engine + store so schedules have I/O to bite
 	// and the fault-free baseline exercises the identical code path.
 	Faults []string `json:"faults,omitempty"`
-	// Basis values ("columns", "asso") map to core.Config.Basis.
+	// Basis values are core.ParseBasis names (not ""), mapped to
+	// core.Config.Basis.
 	Basis []string `json:"basis,omitempty"`
 	// Weighted values map to core.Config.Weighted (the paper's WQoR).
 	Weighted []bool `json:"weighted,omitempty"`
@@ -286,21 +287,15 @@ func (m *Manifest) validateAxes() error {
 		}
 	}
 	for _, b := range m.Axes.Basis {
-		if _, err := parseBasis(b); err != nil {
-			return fmt.Errorf("exp: manifest %s: %v", m.Name, err)
+		// "" would parse as the default basis but name none in cell IDs.
+		if b == "" {
+			return fmt.Errorf("exp: manifest %s: empty basis axis value", m.Name)
+		}
+		if _, err := core.ParseBasis(b); err != nil {
+			return fmt.Errorf("exp: manifest %s: %w", m.Name, err)
 		}
 	}
 	return nil
-}
-
-// parseBasis maps a basis axis value to the core factor family.
-func parseBasis(name string) (core.Basis, error) {
-	for _, b := range []core.Basis{core.BasisColumns, core.BasisASSO} {
-		if b.String() == name {
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("basis axis values must be \"columns\" or \"asso\", got %q", name)
 }
 
 // Cell is one grid point: a full configuration to run per (seed, repeat).

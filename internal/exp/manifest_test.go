@@ -76,6 +76,10 @@ func TestParseManifestRejects(t *testing.T) {
 			return strings.Replace(s, `"incremental": [false, true]`,
 				`"incremental": [false, true], "basis": ["rows"]`, 1)
 		}),
+		"empty basis": mutate(func(s string) string {
+			return strings.Replace(s, `"incremental": [false, true]`,
+				`"incremental": [false, true], "basis": [""]`, 1)
+		}),
 		"paper kind on explore": mutate(func(s string) string {
 			return strings.Replace(s, `"kind": "ratio"`, `"kind": "paper"`, 1)
 		}),

@@ -191,7 +191,7 @@ func (r *Runner) Run(ctx context.Context, m *Manifest) (*Run, error) {
 
 // cellConfig builds the core configuration for one (cell, seed).
 func cellConfig(m *Manifest, cell Cell, seed int64) core.Config {
-	basis, _ := parseBasis(cell.Basis) // validated with the manifest
+	basis, _ := core.ParseBasis(cell.Basis) // validated with the manifest
 	return core.Config{
 		Samples:            m.Samples,
 		Seed:               seed,

@@ -308,31 +308,6 @@ func (c *Circuit) TransitiveFanin(roots ...NodeID) []bool {
 	return in
 }
 
-// TransitiveFanout returns the set of node IDs (as a bool slice indexed by
-// node) reachable from the given roots through fanin references, including
-// the roots: every node whose value can change when a root's value changes.
-// It is the dual of TransitiveFanin and relies on the Circuit invariant that
-// node indices are topologically ordered (fanins precede consumers), which
-// Validate enforces; a single forward pass therefore suffices.
-func (c *Circuit) TransitiveFanout(roots ...NodeID) []bool {
-	out := make([]bool, len(c.Nodes))
-	for _, r := range roots {
-		out[r] = true
-	}
-	for i := range c.Nodes {
-		if out[i] {
-			continue
-		}
-		for _, f := range c.Nodes[i].Fanins() {
-			if out[f] {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Stats summarizes circuit size for logging.
 func (c *Circuit) Stats() string {
 	_, depth := c.Levels()

@@ -172,3 +172,44 @@ func TestVarTableMatchesSimulatedProjection(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulatorReset verifies that a simulator rebound to a different
+// circuit produces the same words as a fresh simulator.
+func TestSimulatorReset(t *testing.T) {
+	big := New("big")
+	ins := big.AddInputs("x", 4)
+	acc := ins[0]
+	for _, in := range ins[1:] {
+		acc = big.AddGate(Xor, acc, in)
+	}
+	big.AddOutput("p", acc)
+
+	small := New("small")
+	a := small.AddInput("a")
+	b := small.AddInput("b")
+	small.AddOutput("o", small.AddGate(And, a, b))
+
+	sim := NewSimulator(big)
+	in4 := []uint64{0xdead, 0xbeef, 0x1234, 0x5678}
+	want := NewSimulator(big).Run(in4, nil)
+	got := sim.Run(in4, nil)
+	if want[0] != got[0] {
+		t.Fatalf("big: %x != %x", got[0], want[0])
+	}
+
+	sim.Reset(small)
+	in2 := []uint64{0xf0f0, 0xff00}
+	want = NewSimulator(small).Run(in2, nil)
+	got = sim.Run(in2, nil)
+	if want[0] != got[0] {
+		t.Fatalf("after Reset to small: %x != %x", got[0], want[0])
+	}
+
+	// And back to the larger circuit: the buffer must regrow.
+	sim.Reset(big)
+	want = NewSimulator(big).Run(in4, nil)
+	got = sim.Run(in4, nil)
+	if want[0] != got[0] {
+		t.Fatalf("after Reset to big: %x != %x", got[0], want[0])
+	}
+}

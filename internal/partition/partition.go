@@ -41,8 +41,6 @@ type Options struct {
 	// MaxInputs (k) and MaxOutputs (m) bound each block's boundary.
 	// The paper uses k = m = 10.
 	MaxInputs, MaxOutputs int
-	// DisableRefine skips the boundary-sliding refinement pass.
-	DisableRefine bool
 }
 
 // Decompose splits the circuit's gates into convex blocks with at most
@@ -65,10 +63,11 @@ func Decompose(c *logic.Circuit, opt Options) ([]Block, error) {
 	if len(d.order) == 0 {
 		return nil, nil
 	}
-	bounds := d.greedyIntervals()
-	if !opt.DisableRefine {
-		bounds = d.refine(bounds)
-	}
+	return d.blocks(d.refine(d.greedyIntervals())), nil
+}
+
+// blocks builds the blocks of the intervals that end at bounds.
+func (d *decomposer) blocks(bounds []int) []Block {
 	blocks := make([]Block, 0, len(bounds))
 	for i := 0; i < len(bounds); i++ {
 		lo := 0
@@ -77,7 +76,7 @@ func Decompose(c *logic.Circuit, opt Options) ([]Block, error) {
 		}
 		blocks = append(blocks, d.makeBlock(lo, bounds[i]))
 	}
-	return blocks, nil
+	return blocks
 }
 
 type decomposer struct {

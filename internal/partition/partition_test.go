@@ -209,11 +209,10 @@ func TestRefinementDoesNotBreakValidity(t *testing.T) {
 	if err := Validate(c, ref, opt); err != nil {
 		t.Fatalf("refined: %v", err)
 	}
-	unref, err := Decompose(c, Options{MaxInputs: 10, MaxOutputs: 8, DisableRefine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(c, unref, Options{MaxInputs: 10, MaxOutputs: 8}); err != nil {
+	// The greedy intervals refinement starts from.
+	d := newDecomposer(c, opt)
+	unref := d.blocks(d.greedyIntervals())
+	if err := Validate(c, unref, opt); err != nil {
 		t.Fatalf("unrefined: %v", err)
 	}
 	// Refinement must not increase total boundary nets.

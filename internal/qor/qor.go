@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"github.com/blasys-go/blasys/internal/logic"
@@ -30,13 +31,14 @@ const ExhaustiveLimit = 20
 // final-report count and the largest this repository requests.
 const MaxSamples = 1 << 20
 
-// Group interprets a subset of circuit outputs as one number.
+// Group interprets a subset of circuit outputs as one number. Its JSON form
+// is the HTTP API's output group and the job journal's spec entry.
 type Group struct {
-	Name string
+	Name string `json:"name"`
 	// Bits lists output indices, least significant first.
-	Bits []int
+	Bits []int `json:"bits"`
 	// Signed selects two's-complement interpretation.
-	Signed bool
+	Signed bool `json:"signed,omitempty"`
 }
 
 // MaxValue returns the largest magnitude representable by the group, used
@@ -87,21 +89,42 @@ const (
 	MSE
 )
 
-var metricNames = map[Metric]string{
-	AvgRelative:     "avg-relative-error",
-	AvgAbsolute:     "avg-absolute-error",
-	NormAvgAbsolute: "normalized-avg-absolute-error",
-	MeanHamming:     "mean-hamming-distance",
-	ErrorRate:       "error-rate",
-	WorstRelative:   "worst-relative-error",
-	MSE:             "mean-squared-error",
+// metricNames holds each metric's short name, which ParseMetric reads (the
+// CLI flag and the HTTP API), and its display name, which String returns.
+var metricNames = [...]struct{ short, long string }{
+	AvgRelative:     {"rel", "avg-relative-error"},
+	AvgAbsolute:     {"abs", "avg-absolute-error"},
+	NormAvgAbsolute: {"normabs", "normalized-avg-absolute-error"},
+	MeanHamming:     {"hamming", "mean-hamming-distance"},
+	ErrorRate:       {"rate", "error-rate"},
+	WorstRelative:   {"worst", "worst-relative-error"},
+	MSE:             {"mse", "mean-squared-error"},
 }
 
+// Valid reports whether m is one of the metrics above.
+func (m Metric) Valid() bool { return m >= 0 && int(m) < len(metricNames) }
+
 func (m Metric) String() string {
-	if s, ok := metricNames[m]; ok {
-		return s
+	if m.Valid() {
+		return metricNames[m].long
 	}
 	return fmt.Sprintf("metric(%d)", int(m))
+}
+
+// ParseMetric returns the metric with the given short name (rel, abs,
+// normabs, hamming, rate, worst, mse); "" means the default, AvgRelative.
+func ParseMetric(name string) (Metric, error) {
+	if name == "" {
+		return AvgRelative, nil
+	}
+	known := make([]string, len(metricNames))
+	for m, n := range metricNames {
+		if n.short == name {
+			return Metric(m), nil
+		}
+		known[m] = n.short
+	}
+	return 0, fmt.Errorf("qor: unknown metric %q (known: %s)", name, strings.Join(known, ", "))
 }
 
 // Report carries every metric from one comparison.

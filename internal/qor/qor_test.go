@@ -281,6 +281,28 @@ func TestMetricValueAccessors(t *testing.T) {
 	}
 }
 
+// TestParseMetric checks that every metric's short name parses back to it,
+// that "" is the default, and that an unknown name or value is rejected.
+func TestParseMetric(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Metric
+	}{
+		{"", AvgRelative}, {"rel", AvgRelative}, {"abs", AvgAbsolute}, {"normabs", NormAvgAbsolute},
+		{"hamming", MeanHamming}, {"rate", ErrorRate}, {"worst", WorstRelative}, {"mse", MSE},
+	} {
+		if got, err := ParseMetric(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseMetric(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	if _, err := ParseMetric("avg-relative-error"); err == nil {
+		t.Error("ParseMetric accepted a display name")
+	}
+	if Metric(-1).Valid() || Metric(7).Valid() || !MSE.Valid() {
+		t.Error("Valid disagrees with the metric constants")
+	}
+}
+
 func TestConcurrentCompares(t *testing.T) {
 	ref := rippleAdder(8)
 	e, err := NewEvaluator(ref, Unsigned("s", 9), 1<<12, 9)

@@ -21,9 +21,9 @@ const MaxSequenceSteps = 4096
 // and SAD benchmarks.
 type Sequence struct {
 	// Steps is the number of cycles per accumulation chain.
-	Steps int
+	Steps int `json:"steps"`
 	// Feedback maps output index -> input index, applied between steps.
-	Feedback [][2]int
+	Feedback [][2]int `json:"feedback"`
 }
 
 // Validate checks the sequence against a circuit's interface.

@@ -1,8 +1,9 @@
 // Package sched provides the machine-wide goroutine budget shared by every
-// parallel fan-out in the flow: the BMF tau sweep (internal/bmf), the
-// explorer's per-step candidate sweep (internal/core), the batches of each
-// committed step (qor.IncrementalComparer.Commit), and any future
-// data-parallel stage. Claim is the claim-and-spawn loop the last two share. The flow's parallelism nests — engine workers run
+// parallel fan-out in the flow: block profiling and the explorer's per-step
+// candidate sweep (internal/core), the BMF tau sweep (internal/bmf), the
+// batches of each committed step (qor.IncrementalComparer.Commit), and any
+// future data-parallel stage. Claim is the claim-and-spawn loop all but the
+// tau sweep share. The flow's parallelism nests — engine workers run
 // jobs whose profiling is parallel across blocks, each block factorization
 // sweeps taus in parallel, and each exploration step sweeps candidates in
 // parallel — so letting every layer size its own pool at GOMAXPROCS would

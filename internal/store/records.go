@@ -7,7 +7,6 @@ import (
 
 	"github.com/blasys-go/blasys/internal/bench"
 	"github.com/blasys-go/blasys/internal/blif"
-	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/qor"
@@ -26,52 +25,18 @@ type RequestRecord struct {
 	// CircuitBLIF is the netlist as BLIF text.
 	CircuitBLIF string `json:"circuit_blif,omitempty"`
 
-	Spec   []GroupRecord `json:"spec"`
-	Config ConfigRecord  `json:"config"`
+	Spec []qor.Group `json:"spec"`
+	// Config is journaled in core.Config's JSON form: every field that
+	// shapes the result, enums as integers. Its runtime-only fields are
+	// tagged json:"-", so a replayed record has none of them and runs on the
+	// default technology library.
+	Config core.Config `json:"config"`
 
 	// DeadlineMS is the job's run-time budget in milliseconds (0 = none).
 	// Journaled so a resumed job keeps its budget, and part of the dedup
 	// content address — the same work under a different deadline is a
 	// different submission.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-}
-
-// GroupRecord is the stored form of one qor.Group.
-type GroupRecord struct {
-	Name   string `json:"name"`
-	Bits   []int  `json:"bits"`
-	Signed bool   `json:"signed,omitempty"`
-}
-
-// SequenceRecord is the stored form of qor.Sequence.
-type SequenceRecord struct {
-	Steps    int      `json:"steps"`
-	Feedback [][2]int `json:"feedback"`
-}
-
-// ConfigRecord stores the serializable subset of core.Config — every field
-// that shapes the flow's result. Runtime-only fields (Lib, Cache, Progress,
-// Checkpoint, Resume) are re-attached by the engine at run time; Lib is
-// always the default library for journaled jobs.
-type ConfigRecord struct {
-	K                  int             `json:"k,omitempty"`
-	M                  int             `json:"m,omitempty"`
-	Metric             int             `json:"metric,omitempty"`
-	Threshold          float64         `json:"threshold,omitempty"`
-	Samples            int             `json:"samples,omitempty"`
-	Seed               int64           `json:"seed,omitempty"`
-	Weighted           bool            `json:"weighted,omitempty"`
-	Semiring           int             `json:"semiring,omitempty"`
-	Basis              int             `json:"basis,omitempty"`
-	TauSweep           []float64       `json:"tau_sweep,omitempty"`
-	ExploreFully       bool            `json:"explore_fully,omitempty"`
-	MaxSteps           int             `json:"max_steps,omitempty"`
-	Parallelism        int             `json:"parallelism,omitempty"`
-	Workers            int             `json:"workers,omitempty"`
-	SynthExact         bool            `json:"synth_exact,omitempty"`
-	Lazy               bool            `json:"lazy,omitempty"`
-	DisableIncremental bool            `json:"disable_incremental,omitempty"`
-	Sequence           *SequenceRecord `json:"sequence,omitempty"`
 }
 
 // NewRequestRecord captures a submission for the journal. benchmark and
@@ -82,7 +47,8 @@ func NewRequestRecord(circ *logic.Circuit, spec qor.OutputSpec, cfg core.Config,
 	r := &RequestRecord{
 		Benchmark:   benchmark,
 		CircuitBLIF: blifText,
-		Config:      newConfigRecord(cfg),
+		Spec:        spec.Groups,
+		Config:      cfg,
 		DeadlineMS:  deadline.Milliseconds(),
 	}
 	if r.Benchmark == "" && r.CircuitBLIF == "" {
@@ -92,40 +58,7 @@ func NewRequestRecord(circ *logic.Circuit, spec qor.OutputSpec, cfg core.Config,
 		}
 		r.CircuitBLIF = sb.String()
 	}
-	for _, g := range spec.Groups {
-		r.Spec = append(r.Spec, GroupRecord{
-			Name: g.Name, Bits: append([]int(nil), g.Bits...), Signed: g.Signed,
-		})
-	}
 	return r, nil
-}
-
-func newConfigRecord(cfg core.Config) ConfigRecord {
-	cr := ConfigRecord{
-		K: cfg.K, M: cfg.M,
-		Metric:             int(cfg.Metric),
-		Threshold:          cfg.Threshold,
-		Samples:            cfg.Samples,
-		Seed:               cfg.Seed,
-		Weighted:           cfg.Weighted,
-		Semiring:           int(cfg.Semiring),
-		Basis:              int(cfg.Basis),
-		TauSweep:           append([]float64(nil), cfg.TauSweep...),
-		ExploreFully:       cfg.ExploreFully,
-		MaxSteps:           cfg.MaxSteps,
-		Parallelism:        cfg.Parallelism,
-		Workers:            cfg.Workers,
-		SynthExact:         cfg.SynthExact,
-		Lazy:               cfg.Lazy,
-		DisableIncremental: cfg.DisableIncremental,
-	}
-	if cfg.Sequence != nil {
-		cr.Sequence = &SequenceRecord{
-			Steps:    cfg.Sequence.Steps,
-			Feedback: append([][2]int(nil), cfg.Sequence.Feedback...),
-		}
-	}
-	return cr
 }
 
 // Deadline returns the recorded run-time budget (zero = none).
@@ -154,40 +87,7 @@ func (r *RequestRecord) Materialize() (*logic.Circuit, qor.OutputSpec, core.Conf
 	default:
 		return nil, qor.OutputSpec{}, core.Config{}, fmt.Errorf("store: request record names no circuit")
 	}
-
-	var spec qor.OutputSpec
-	for _, g := range r.Spec {
-		spec.Groups = append(spec.Groups, qor.Group{
-			Name: g.Name, Bits: append([]int(nil), g.Bits...), Signed: g.Signed,
-		})
-	}
-
-	cr := r.Config
-	cfg := core.Config{
-		K: cr.K, M: cr.M,
-		Metric:             qor.Metric(cr.Metric),
-		Threshold:          cr.Threshold,
-		Samples:            cr.Samples,
-		Seed:               cr.Seed,
-		Weighted:           cr.Weighted,
-		Semiring:           bmf.Semiring(cr.Semiring),
-		Basis:              core.Basis(cr.Basis),
-		TauSweep:           append([]float64(nil), cr.TauSweep...),
-		ExploreFully:       cr.ExploreFully,
-		MaxSteps:           cr.MaxSteps,
-		Parallelism:        cr.Parallelism,
-		Workers:            cr.Workers,
-		SynthExact:         cr.SynthExact,
-		Lazy:               cr.Lazy,
-		DisableIncremental: cr.DisableIncremental,
-	}
-	if cr.Sequence != nil {
-		cfg.Sequence = &qor.Sequence{
-			Steps:    cr.Sequence.Steps,
-			Feedback: append([][2]int(nil), cr.Sequence.Feedback...),
-		}
-	}
-	return circ, spec, cfg, nil
+	return circ, qor.OutputSpec{Groups: r.Spec}, r.Config, nil
 }
 
 // ResultRecord is the journaled terminal outcome of a successful job:

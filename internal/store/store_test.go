@@ -1,15 +1,19 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/blasys-go/blasys/internal/bench"
+	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/core"
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/qor"
@@ -122,6 +126,69 @@ func TestBenchmarkRequestMaterializesIdentically(t *testing.T) {
 	}
 	if mc.Name != bm.Circ.Name || len(mc.Nodes) != len(bm.Circ.Nodes) {
 		t.Fatalf("benchmark did not materialize to the identical circuit")
+	}
+}
+
+// TestLegacyRequestLineMaterializes replays a request line written while the
+// store kept its own copy of the config fields, with every journaled field
+// set to a non-default value and a signed output group. It must materialize
+// to the identical config and spec, and re-encoding the record must give
+// the same JSON object, enums still integers.
+func TestLegacyRequestLineMaterializes(t *testing.T) {
+	line, err := os.ReadFile(filepath.Join("testdata", "legacy-request.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openTestStore(t)
+	if err := os.WriteFile(s.jobPath("job-legacy", journalExt), line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := s.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Request == nil || recs[0].CorruptLines != 0 {
+		t.Fatalf("replay = %+v", recs)
+	}
+	req := recs[0].Request
+	_, spec, cfg, err := req.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Config{
+		K: 8, M: 6, Metric: qor.WorstRelative, Threshold: 0.125, Samples: 4096, Seed: 7,
+		Weighted: true, Semiring: bmf.Xor, Basis: core.BasisASSO, TauSweep: []float64{0.3, 0.7},
+		ExploreFully: true, MaxSteps: 9, Parallelism: 3, Workers: 2, SynthExact: true,
+		Lazy: true, DisableIncremental: true,
+		Sequence: &qor.Sequence{Steps: 4, Feedback: [][2]int{{0, 1}, {2, 3}}},
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("config = %+v, want %+v", cfg, want)
+	}
+	wantSpec := qor.OutputSpec{Groups: []qor.Group{{Name: "acc", Bits: []int{0, 1, 2}, Signed: true}, {Name: "flag", Bits: []int{3}}}}
+	if !reflect.DeepEqual(spec, wantSpec) {
+		t.Errorf("spec = %+v, want %+v", spec, wantSpec)
+	}
+	if req.Benchmark != "Fig3" || req.Deadline() != 1500*time.Millisecond {
+		t.Errorf("benchmark %q deadline %v", req.Benchmark, req.Deadline())
+	}
+
+	var entry struct {
+		Request map[string]any `json:"request"`
+	}
+	if err := json.Unmarshal(line, &entry); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again map[string]any
+	if err := json.Unmarshal(b, &again); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, entry.Request) {
+		t.Errorf("re-encoded request\n%s\ndiffers from the journaled one\n%s", b, line)
 	}
 }
 

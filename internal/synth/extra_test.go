@@ -144,14 +144,3 @@ func TestCircuitFromMatrixRejectsBadRows(t *testing.T) {
 		t.Error("accepted non-power-of-two rows")
 	}
 }
-
-func TestKeepPhaseOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	f := randomTable(rng, 5, 0.9) // complement-friendly
-	b := logic.NewBuilder("kp")
-	vars := b.Inputs("x", 5)
-	b.Output("y", FromTable(b, f, nil, vars, Options{KeepPhase: true}))
-	if !b.C.TruthTables()[0].Equal(f) {
-		t.Fatal("KeepPhase synthesis wrong")
-	}
-}

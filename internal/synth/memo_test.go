@@ -71,7 +71,7 @@ func TestSharedMemoMatchesFreshApproxBlock(t *testing.T) {
 		{bench.Adder32(), 10, 10, synth.Options{}},
 		{bench.Mult8(), 10, 10, synth.Options{}},
 		{bench.BUT(), 6, 4, synth.Options{Exact: true}},
-		{bench.Mult8(), 6, 4, synth.Options{KeepPhase: true}},
+		{bench.Mult8(), 6, 4, synth.Options{}},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/k%d/%+v", tc.circ.Name, tc.k, tc.opt)

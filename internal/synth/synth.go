@@ -30,9 +30,6 @@ type Options struct {
 	// Exact uses Quine–McCluskey exact minimization (≤ 10 variables)
 	// instead of the espresso heuristic.
 	Exact bool
-	// KeepPhase disables the complement-and-invert optimization, forcing
-	// synthesis of the function in positive phase.
-	KeepPhase bool
 }
 
 // shannonCubeLimit is the SOP size above which FromTable falls back to
@@ -94,9 +91,6 @@ func (s *Synthesizer) FromTable(b *logic.Builder, table, dc *tt.Table, vars []lo
 	}
 
 	pos := s.minimize(table, dc)
-	if s.opt.KeepPhase {
-		return coverToGates(b, pos, vars)
-	}
 	negOn := table.Not()
 	if dc != nil {
 		negOn = negOn.And(dc.Not())

@@ -90,9 +90,10 @@ func TestComplementPhaseWins(t *testing.T) {
 	if got := b.C.TruthTables()[0]; !got.Equal(on) {
 		t.Fatal("function mismatch")
 	}
+	// The positive-phase cover, built the way FromTable builds either phase.
 	bp := logic.NewBuilder("fpos")
 	varsP := bp.Inputs("x", 6)
-	bp.Output("y", FromTable(bp, on, nil, varsP, Options{KeepPhase: true}))
+	bp.Output("y", coverToGates(bp, New(Options{}).minimize(on, nil), varsP))
 	if g, gp := b.C.NumGates(), bp.C.NumGates(); g >= gp {
 		t.Errorf("phase selection missed: %d gates with selection, %d forced positive", g, gp)
 	}

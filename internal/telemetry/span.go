@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -303,11 +302,4 @@ func WriteFolded(w io.Writer, recs []SpanRecord) {
 	for _, r := range roots {
 		walk("", r)
 	}
-}
-
-// FoldedString is WriteFolded into a string (convenience for tests/UIs).
-func FoldedString(recs []SpanRecord) string {
-	var b strings.Builder
-	WriteFolded(&b, recs)
-	return b.String()
 }

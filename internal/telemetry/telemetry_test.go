@@ -177,9 +177,10 @@ func TestTimelineSpans(t *testing.T) {
 		t.Fatalf("run attr step = %v, want 3", got)
 	}
 
-	folded := FoldedString(tl.Records())
-	if !strings.Contains(folded, "job;run;step ") {
-		t.Fatalf("folded output missing stack:\n%s", folded)
+	var folded strings.Builder
+	WriteFolded(&folded, tl.Records())
+	if !strings.Contains(folded.String(), "job;run;step ") {
+		t.Fatalf("folded output missing stack:\n%s", folded.String())
 	}
 
 	// nil-span handles must be inert.

@@ -298,17 +298,6 @@ func DependsOnWords(words []uint64, nvars, i int) bool {
 	return false
 }
 
-// Support returns the indices of variables the function depends on.
-func (t *Table) Support() []int {
-	var s []int
-	for i := 0; i < t.nvars; i++ {
-		if t.DependsOn(i) {
-			s = append(s, i)
-		}
-	}
-	return s
-}
-
 // String renders the table as a 0/1 string from entry 0 upward, in groups of
 // eight for readability. Intended for debugging and test failure messages.
 func (t *Table) String() string {

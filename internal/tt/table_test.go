@@ -120,10 +120,6 @@ func TestCofactorAndSupport(t *testing.T) {
 	if !f.DependsOn(0) || !f.DependsOn(2) {
 		t.Error("f should depend on x0 and x2")
 	}
-	sup := f.Support()
-	if len(sup) != 2 || sup[0] != 0 || sup[1] != 2 {
-		t.Errorf("Support = %v, want [0 2]", sup)
-	}
 	c0 := f.Cofactor(0, true) // = x2
 	if !c0.Equal(Var(3, 2)) {
 		t.Errorf("Cofactor(0,true) = %v, want x2", c0)
