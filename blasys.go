@@ -52,7 +52,7 @@
 // polling status, downloading result.blif / result.v) and NewEngine for the
 // embeddable job engine behind it. Long-running library calls can be
 // cancelled through ApproximateContext, stream per-step progress through
-// Config.Progress, and share factorizations across runs through
+// Config.Checkpoint, and share factorizations across runs through
 // Config.Cache (NewFactorizationCache). The per-step candidate sweep runs on
 // Config.Workers parallel shards (default GOMAXPROCS, bit-identical results
 // at any worker count); cmd/blasys exposes it as -workers and dumps the

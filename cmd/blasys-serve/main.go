@@ -55,10 +55,12 @@
 // Logs are structured (log/slog): -log-format picks text or json lines,
 // -log-level sets the threshold.
 //
-// Durability: with -store-dir every job is journaled to disk as it runs
-// (request, state transitions, trace, stage spans, checkpoints after each
-// committed exploration step, final result), and warm factorizations persist
-// in a disk-backed cache. A restarted process with the same -store-dir
+// Durability: with -store-dir every job is journaled to disk (request,
+// state transitions, final result, and each run's stage spans when the run
+// ends or hands over), every committed exploration step is appended to the
+// job's step log, and warm factorizations persist in a disk-backed cache.
+// A job's trace is not journaled: it derives from the recorded steps. A
+// restarted process with the same -store-dir
 // serves finished results immediately and — unless -resume=false —
 // re-enqueues interrupted jobs, each continuing from its last checkpoint
 // with results bit-identical to an uninterrupted run:

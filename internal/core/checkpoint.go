@@ -136,22 +136,29 @@ func circuitDigest(c *logic.Circuit) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// captureState snapshots the exploration after a commit. Slices are deep
-// copies: the state is safe to retain, serialize, or hand to another
-// goroutine while the exploration continues.
-func captureState(res *Result, degrees []int, step int, cfg Config, lazy *LazyExplorerState) ExplorerState {
+// walkState holds the fields every ExplorerState of one walk shares, the
+// digests included: they are fixed for the walk, so it hashes them once.
+func walkState(res *Result, cfg Config) ExplorerState {
 	return ExplorerState{
-		Step:              step,
-		Degrees:           append([]int(nil), degrees...),
-		Steps:             append([]Step(nil), res.Steps...),
-		Frontier:          res.Frontier.Points(),
 		AccurateModelArea: res.AccurateModelArea,
 		Seed:              cfg.Seed,
 		Samples:           cfg.Samples,
-		Lazy:              lazy,
 		ConfigDigest:      configDigest(cfg),
 		CircuitDigest:     circuitDigest(res.Circuit),
 	}
+}
+
+// captureState snapshots the exploration after a commit onto the walk's
+// shared fields (walkState). Slices are deep copies: the state is safe to
+// retain, serialize, or hand to another goroutine while the exploration
+// continues.
+func captureState(st ExplorerState, res *Result, degrees []int, lazy *LazyExplorerState) ExplorerState {
+	st.Step = len(res.Steps)
+	st.Degrees = append([]int(nil), degrees...)
+	st.Steps = append([]Step(nil), res.Steps...)
+	st.Frontier = res.Frontier.Points()
+	st.Lazy = lazy
+	return st
 }
 
 // Validate checks the state's internal consistency (degree/step bookkeeping)
@@ -198,15 +205,15 @@ func (st *ExplorerState) TracePoints() []TracePoint {
 // blocks: the frontier is replayed point by point, the committed steps are
 // re-applied to the candidate evaluator (rebuilding its incremental baseline
 // exactly as the original commits did), and the explorer loops then continue
-// at st.Step.
-func resumeExplorer(res *Result, ce candidateEvaluator, cfg Config, st *ExplorerState) error {
+// at st.Step. walk holds the resuming walk's digests (walkState).
+func resumeExplorer(res *Result, ce candidateEvaluator, cfg Config, st *ExplorerState, walk ExplorerState) error {
 	if err := st.Validate(); err != nil {
 		return err
 	}
-	if got, want := configDigest(cfg), st.ConfigDigest; want != "" && got != want {
+	if got, want := walk.ConfigDigest, st.ConfigDigest; want != "" && got != want {
 		return fmt.Errorf("core: resume state was checkpointed under a different configuration (digest %s, resuming %s)", want, got)
 	}
-	if got, want := circuitDigest(res.Circuit), st.CircuitDigest; want != "" && got != want {
+	if got, want := walk.CircuitDigest, st.CircuitDigest; want != "" && got != want {
 		return fmt.Errorf("core: resume state was checkpointed for a different circuit (digest %s, resuming %s)", want, got)
 	}
 	if len(st.Degrees) != len(res.Profiles) {

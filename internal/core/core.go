@@ -49,7 +49,7 @@ import (
 //
 // The JSON form holds every field that shapes the result and is what the
 // job store journals; the enums are written as integers. The runtime-only
-// fields (Lib, Progress, Cache, Checkpoint, Resume, Span) are not encoded,
+// fields (Lib, Cache, Checkpoint, Resume, Span) are not encoded,
 // so a journaled job always runs on the default library.
 type Config struct {
 	// K and M bound block inputs and outputs (paper: 10 and 10).
@@ -118,21 +118,18 @@ type Config struct {
 	// defaults. No result depends on Workers or Parallelism. Default off
 	// (paper-literal exhaustive re-evaluation).
 	Lazy bool `json:"lazy,omitempty"`
-	// Progress, when non-nil, receives one TracePoint per committed
-	// exploration step, in commit order, called synchronously from the
-	// exploring goroutine. Keep it fast (e.g. append to a buffer or send on
-	// a buffered channel): a blocking hook stalls the exploration.
-	Progress func(TracePoint) `json:"-"`
 	// Cache, when non-nil, memoizes block factorizations by truth-table
 	// content (see bmf.Cache). Sharing one cache across Approximate calls
 	// lets repeated or overlapping runs skip re-factorization entirely.
 	Cache bmf.Cache `json:"-"`
 	// Checkpoint, when non-nil, receives a serializable ExplorerState after
 	// every committed exploration step, called synchronously from the
-	// exploring goroutine right after Progress. The state is a deep copy:
-	// safe to retain, serialize, or hand off. Feeding a checkpointed state
-	// back through Resume continues the walk from that step with
-	// bit-identical results.
+	// exploring goroutine; keep it fast, since a blocking hook stalls the
+	// exploration. The state is a deep copy: safe to retain, serialize, or
+	// hand off. Its TracePoints end with the step just committed, so the
+	// hook doubles as a progress stream. Feeding a checkpointed state back
+	// through Resume continues the walk from that step with bit-identical
+	// results.
 	Checkpoint func(ExplorerState) `json:"-"`
 	// Resume, when non-nil, restores a previously checkpointed exploration:
 	// profiling still runs (deterministically, and cheaply under a warm
@@ -143,9 +140,9 @@ type Config struct {
 	Resume *ExplorerState `json:"-"`
 	// Span, when non-nil, is the parent telemetry span the flow records its
 	// stages under ("profile", "explore", per-step "step" children). A nil
-	// span disables stage recording at zero cost; like Progress and
-	// Checkpoint, the field is pure observability and excluded from the
-	// checkpoint config digest.
+	// span disables stage recording at zero cost; like Checkpoint, the
+	// field is pure observability and excluded from the checkpoint config
+	// digest.
 	Span *telemetry.Span `json:"-"`
 	// DisableIncremental forces exploration candidates to be evaluated by
 	// materializing the whole substituted circuit and resimulating it
@@ -657,9 +654,13 @@ func explore(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config
 	// caller's Span is untouched).
 	cfg.Span = exp
 	res.Frontier = newFrontier(res.AccurateModelArea)
+	var walk ExplorerState
+	if cfg.Checkpoint != nil || cfg.Resume != nil {
+		walk = walkState(res, cfg)
+	}
 	startStep := 0
 	if cfg.Resume != nil {
-		if err := resumeExplorer(res, ce, cfg, cfg.Resume); err != nil {
+		if err := resumeExplorer(res, ce, cfg, cfg.Resume, walk); err != nil {
 			return err
 		}
 		startStep = cfg.Resume.Step
@@ -673,7 +674,7 @@ func explore(ctx context.Context, res *Result, ce candidateEvaluator, cfg Config
 	}
 	// sched.Claim never runs more than the budget's tokens plus the calling
 	// goroutine, so more shards than that would only take memory.
-	e := &explorer{ctx: ctx, res: res, ce: ce, cfg: cfg, degrees: res.DegreesAt(len(res.Steps) - 1),
+	e := &explorer{ctx: ctx, res: res, ce: ce, cfg: cfg, walk: walk, degrees: res.DegreesAt(len(res.Steps) - 1),
 		shards: ce.shards(min(cfg.Workers, sched.Budget()+1)), cands: initialCandidates(res, cfg.Resume)}
 	pick := e.pickExhaustive
 	if cfg.Lazy {
@@ -768,7 +769,8 @@ type explorer struct {
 	res     *Result
 	ce      candidateEvaluator
 	cfg     Config
-	degrees []int // committed degree vector
+	walk    ExplorerState // the fields every checkpoint shares (walkState)
+	degrees []int         // committed degree vector
 	shards  []candidateShard
 	cands   []*candidate // live candidates
 }
@@ -865,9 +867,6 @@ func (e *explorer) commit(c *candidate) error {
 	}
 	res.Steps = append(res.Steps, Step{BlockIndex: c.bi, NewDegree: e.degrees[c.bi], Report: c.report, ModelArea: c.area})
 	mSteps.Inc()
-	if e.cfg.Progress != nil {
-		e.cfg.Progress(res.tracePointAt(len(res.Steps) - 1))
-	}
 	if e.cfg.Checkpoint == nil {
 		return nil
 	}
@@ -880,7 +879,7 @@ func (e *explorer) commit(c *candidate) error {
 			})
 		}
 	}
-	e.cfg.Checkpoint(captureState(res, e.degrees, len(res.Steps), e.cfg, ls))
+	e.cfg.Checkpoint(captureState(e.walk, res, e.degrees, ls))
 	return nil
 }
 

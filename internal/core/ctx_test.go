@@ -44,7 +44,7 @@ func TestApproximateCtxCancelMidExploration(t *testing.T) {
 	steps := 0
 	_, err := ApproximateCtx(ctx, circ, spec, Config{
 		K: 4, M: 3, Samples: 1 << 8, Seed: 1, ExploreFully: true,
-		Progress: func(TracePoint) {
+		Checkpoint: func(ExplorerState) {
 			steps++
 			if steps == 1 {
 				cancel() // cancel after the first committed step
@@ -55,16 +55,21 @@ func TestApproximateCtxCancelMidExploration(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if steps == 0 {
-		t.Fatal("progress hook never fired before cancellation")
+		t.Fatal("checkpoint hook never fired before cancellation")
 	}
 }
 
+// TestProgressStreamMatchesTrace pins that the checkpoint hook streams the
+// walk's progress: each state's trace ends with the step just committed.
 func TestProgressStreamMatchesTrace(t *testing.T) {
 	circ, spec := adder4(t)
 	var streamed []TracePoint
 	cfg := Config{
 		K: 4, M: 3, Samples: 1 << 8, Seed: 1, ExploreFully: true, MaxSteps: 6,
-		Progress: func(p TracePoint) { streamed = append(streamed, p) },
+		Checkpoint: func(st ExplorerState) {
+			pts := st.TracePoints()
+			streamed = append(streamed, pts[len(pts)-1])
+		},
 	}
 	res, err := Approximate(circ, spec, cfg)
 	if err != nil {

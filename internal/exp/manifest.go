@@ -78,8 +78,9 @@ type Manifest struct {
 }
 
 // Axes are the grid dimensions. Every combination of one value per declared
-// axis is one cell; omitted axes contribute their single default value
-// (workers 1, incremental on, cold cache, no faults).
+// axis is one cell; omitted axes keep defaultCell's value (workers 1,
+// incremental on, cold cache, no faults, columns basis, uniform QoR).
+// gridAxes says how each field becomes a cell's value and token.
 type Axes struct {
 	// Circuit lists circuit specs for bench.Resolve: Table 1 names
 	// ("Mult8") or seeded random circuits ("rand:7", "rand:7:8x80x6").
@@ -112,11 +113,12 @@ type Pass struct {
 	// across CompareAxis values per seed (byte-identity); "paper" applies
 	// the paper workload's fixed criteria (paperCriteria) to every cell.
 	Kind string `json:"kind"`
-	// Metric names the row field ratio comparisons read: "evals_per_sec",
-	// "wall_seconds", "explore_seconds", "steps", "best_error", "norm_area".
+	// Metric names the row field ratio comparisons read (Row.Metric):
+	// "wall_seconds", "profile_seconds", "explore_seconds", "steps",
+	// "evals", "evals_per_sec", "best_error" or "norm_area".
 	Metric string `json:"metric,omitempty"`
-	// CompareAxis is the axis under test: "circuit", "workers",
-	// "incremental", "cache", or "faults".
+	// CompareAxis is the axis under test, a gridAxes name: "circuit",
+	// "workers", "incremental", "cache", "faults", "basis" or "weighted".
 	CompareAxis string `json:"compare_axis"`
 	// Baseline is the CompareAxis value (in axis-token string form, e.g.
 	// "false", "1", "none") the others are measured against. Required for
@@ -255,7 +257,7 @@ func (m *Manifest) validate() error {
 		return fmt.Errorf("exp: manifest %s: pass kind must be %q or %q, got %q",
 			m.Name, KindRatio, KindEqual, m.Pass.Kind)
 	}
-	if !axisNameKnown(m.Pass.CompareAxis) {
+	if lookupAxis(m.Pass.CompareAxis) == nil {
 		return fmt.Errorf("exp: manifest %s: unknown compare_axis %q", m.Name, m.Pass.CompareAxis)
 	}
 	if len(m.axisTokens(m.Pass.CompareAxis)) < 2 {
@@ -315,220 +317,133 @@ type Cell struct {
 	Weighted  bool   `json:"weighted"`
 }
 
-var axisNames = []string{"circuit", "workers", "incremental", "cache", "faults", "basis", "weighted"}
-
-func axisNameKnown(name string) bool {
-	for _, n := range axisNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
+// gridAxis is one grid dimension: how the manifest declares it and how a
+// cell carries it. Adding an axis takes one Axes field and one gridAxes
+// entry (plus the Cell field it sets, which cellConfig reads).
+type gridAxis struct {
+	name string
+	// prefix starts the axis's part of a cell ID ("w2", "inc-true").
+	prefix string
+	// n is how many values the manifest declares (0: the axis is undeclared
+	// and every cell keeps defaultCell's value).
+	n func(a *Axes) int
+	// set gives the cell the axis's i-th declared value.
+	set func(c *Cell, a *Axes, i int)
+	// token renders the cell's value in ID, group key and Pass.Baseline form.
+	token func(c Cell) string
 }
 
-// axisTokens returns the declared values of an axis in string-token form
-// (the form IDs, group keys, and Pass.Baseline use), or the single default
-// token when the axis is not declared.
-func (m *Manifest) axisTokens(axis string) []string {
-	switch axis {
-	case "circuit":
-		return circuitTokens(m.Axes.Circuit)
-	case "workers":
-		if len(m.Axes.Workers) == 0 {
-			return []string{"1"}
+// gridAxes lists the axes in expansion order, circuit outermost.
+var gridAxes = []gridAxis{
+	{"circuit", "", func(a *Axes) int { return len(a.Circuit) },
+		func(c *Cell, a *Axes, i int) { c.Circuit = a.Circuit[i] },
+		func(c Cell) string { // lowercase and ID-safe: "rand:7" -> "rand-7"
+			return strings.NewReplacer(":", "-", "/", "-").Replace(strings.ToLower(c.Circuit))
+		}},
+	{"workers", "w", func(a *Axes) int { return len(a.Workers) },
+		func(c *Cell, a *Axes, i int) { c.Workers = a.Workers[i] },
+		func(c Cell) string { return strconv.Itoa(c.Workers) }},
+	{"incremental", "inc-", func(a *Axes) int { return len(a.Incremental) },
+		func(c *Cell, a *Axes, i int) { c.Incremental = a.Incremental[i] },
+		func(c Cell) string { return strconv.FormatBool(c.Incremental) }},
+	{"cache", "", func(a *Axes) int { return len(a.Cache) },
+		func(c *Cell, a *Axes, i int) { c.Cache = a.Cache[i] },
+		func(c Cell) string { return c.Cache }},
+	{"faults", "", func(a *Axes) int { return len(a.Faults) },
+		func(c *Cell, a *Axes, i int) {
+			c.Faults, c.FaultsLabel, c.UseEngine = a.Faults[i], "none", true
+			if c.Faults != "" {
+				c.FaultsLabel = fmt.Sprintf("f%d", i)
+			}
+		},
+		func(c Cell) string { return c.FaultsLabel }},
+	{"basis", "", func(a *Axes) int { return len(a.Basis) },
+		func(c *Cell, a *Axes, i int) { c.Basis = a.Basis[i] },
+		func(c Cell) string { return c.Basis }},
+	{"weighted", "weighted-", func(a *Axes) int { return len(a.Weighted) },
+		func(c *Cell, a *Axes, i int) { c.Weighted = a.Weighted[i] },
+		func(c Cell) string { return strconv.FormatBool(c.Weighted) }},
+}
+
+// defaultCell holds the value of every undeclared axis.
+var defaultCell = Cell{Workers: 1, Incremental: true, Cache: "cold", FaultsLabel: "none", Basis: core.BasisColumns.String()}
+
+// lookupAxis returns the named axis, or nil for a name no axis has.
+func lookupAxis(name string) *gridAxis {
+	for i := range gridAxes {
+		if gridAxes[i].name == name {
+			return &gridAxes[i]
 		}
-		return intTokens(m.Axes.Workers)
-	case "incremental":
-		if len(m.Axes.Incremental) == 0 {
-			return []string{"true"}
-		}
-		return boolTokens(m.Axes.Incremental)
-	case "cache":
-		if len(m.Axes.Cache) == 0 {
-			return []string{"cold"}
-		}
-		return append([]string(nil), m.Axes.Cache...)
-	case "faults":
-		if len(m.Axes.Faults) == 0 {
-			return []string{"none"}
-		}
-		out := make([]string, len(m.Axes.Faults))
-		for i, f := range m.Axes.Faults {
-			out[i] = faultsToken(f, i)
-		}
-		return out
-	case "basis":
-		if len(m.Axes.Basis) == 0 {
-			return []string{core.BasisColumns.String()}
-		}
-		return append([]string(nil), m.Axes.Basis...)
-	case "weighted":
-		if len(m.Axes.Weighted) == 0 {
-			return []string{"false"}
-		}
-		return boolTokens(m.Axes.Weighted)
 	}
 	return nil
 }
 
-func intTokens(vals []int) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = strconv.Itoa(v)
+// axisTokens returns the declared values of an axis in token form, or the
+// default cell's token when the axis is not declared.
+func (m *Manifest) axisTokens(name string) []string {
+	ax := lookupAxis(name)
+	if ax == nil {
+		return nil
+	}
+	n := ax.n(&m.Axes)
+	if n == 0 {
+		return []string{ax.token(defaultCell)}
+	}
+	out := make([]string, n)
+	for i := range out {
+		c := defaultCell
+		ax.set(&c, &m.Axes, i)
+		out[i] = ax.token(c)
 	}
 	return out
-}
-
-func boolTokens(vals []bool) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = strconv.FormatBool(v)
-	}
-	return out
-}
-
-func circuitTokens(specs []string) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = circuitToken(s)
-	}
-	return out
-}
-
-// circuitToken lowercases a circuit spec into an ID-safe token.
-func circuitToken(spec string) string {
-	s := strings.ToLower(spec)
-	s = strings.NewReplacer(":", "-", "/", "-").Replace(s)
-	return s
-}
-
-func faultsToken(schedule string, idx int) string {
-	if schedule == "" {
-		return "none"
-	}
-	return fmt.Sprintf("f%d", idx)
 }
 
 // Cells expands the manifest's axes into the full grid, in deterministic
-// nested order (circuit outermost, faults innermost — the order axes are
-// declared in the Axes struct).
+// nested order: the gridAxes order, circuit outermost and weighted
+// innermost.
 func (m *Manifest) Cells() []Cell {
-	workers := m.Axes.Workers
-	if len(workers) == 0 {
-		workers = []int{1}
-	}
-	incr := m.Axes.Incremental
-	if len(incr) == 0 {
-		incr = []bool{true}
-	}
-	caches := m.Axes.Cache
-	if len(caches) == 0 {
-		caches = []string{"cold"}
-	}
-	faultAxes := m.Axes.Faults
-	useEngine := len(faultAxes) > 0
-	if len(faultAxes) == 0 {
-		faultAxes = []string{""}
-	}
-	bases := m.axisTokens("basis")
-	weighted := m.Axes.Weighted
-	if len(weighted) == 0 {
-		weighted = []bool{false}
-	}
-	var cells []Cell
-	for _, circ := range m.Axes.Circuit {
-		for _, w := range workers {
-			for _, inc := range incr {
-				for _, cache := range caches {
-					for fi, flt := range faultAxes {
-						for _, basis := range bases {
-							for _, wq := range weighted {
-								cells = append(cells, Cell{
-									Circuit:     circ,
-									Workers:     w,
-									Incremental: inc,
-									Cache:       cache,
-									Faults:      flt,
-									FaultsLabel: faultsToken(flt, fi),
-									UseEngine:   useEngine,
-									Basis:       basis,
-									Weighted:    wq,
-								})
-							}
-						}
-					}
-				}
+	cells := []Cell{defaultCell}
+	for _, ax := range m.declaredAxes() {
+		n := ax.n(&m.Axes)
+		next := make([]Cell, 0, len(cells)*n)
+		for _, c := range cells {
+			for i := 0; i < n; i++ {
+				ax.set(&c, &m.Axes, i)
+				next = append(next, c)
 			}
 		}
+		cells = next
 	}
 	return cells
 }
 
 // axisToken renders one of the cell's axis values as its ID/group token.
-func (c Cell) axisToken(axis string) string {
-	switch axis {
-	case "circuit":
-		return circuitToken(c.Circuit)
-	case "workers":
-		return strconv.Itoa(c.Workers)
-	case "incremental":
-		return strconv.FormatBool(c.Incremental)
-	case "cache":
-		return c.Cache
-	case "faults":
-		return c.FaultsLabel
-	case "basis":
-		return c.Basis
-	case "weighted":
-		return strconv.FormatBool(c.Weighted)
+func (c Cell) axisToken(name string) string {
+	if ax := lookupAxis(name); ax != nil {
+		return ax.token(c)
 	}
 	return ""
 }
 
-// declaredAxes lists the axes the manifest actually declares (the ones worth
-// naming in cell IDs and group keys). Circuit is always declared.
-func (m *Manifest) declaredAxes() []string {
-	axes := []string{"circuit"}
-	if len(m.Axes.Workers) > 0 {
-		axes = append(axes, "workers")
+// declaredAxes lists the axes the manifest declares (the ones worth naming
+// in cell IDs and group keys), in gridAxes order.
+func (m *Manifest) declaredAxes() []gridAxis {
+	var out []gridAxis
+	for _, ax := range gridAxes {
+		if ax.n(&m.Axes) > 0 {
+			out = append(out, ax)
+		}
 	}
-	if len(m.Axes.Incremental) > 0 {
-		axes = append(axes, "incremental")
-	}
-	if len(m.Axes.Cache) > 0 {
-		axes = append(axes, "cache")
-	}
-	if len(m.Axes.Faults) > 0 {
-		axes = append(axes, "faults")
-	}
-	if len(m.Axes.Basis) > 0 {
-		axes = append(axes, "basis")
-	}
-	if len(m.Axes.Weighted) > 0 {
-		axes = append(axes, "weighted")
-	}
-	return axes
+	return out
 }
 
-// CellID is the cell's stable identifier: its declared-axis tokens joined
-// with '_', prefixed by axis letters for the non-circuit axes
-// (e.g. "mult8_w2_inc-true", "mult8_asso_weighted-true").
+// CellID is the cell's stable identifier: its declared-axis tokens, each
+// after its axis's prefix, joined with '_' (e.g. "mult8_w2_inc-true",
+// "mult8_asso_weighted-true").
 func (m *Manifest) CellID(c Cell) string {
-	parts := []string{}
-	for _, axis := range m.declaredAxes() {
-		tok := c.axisToken(axis)
-		switch axis {
-		case "circuit":
-			parts = append(parts, tok)
-		case "workers":
-			parts = append(parts, "w"+tok)
-		case "incremental":
-			parts = append(parts, "inc-"+tok)
-		case "weighted":
-			parts = append(parts, "weighted-"+tok)
-		default: // cache, faults, basis
-			parts = append(parts, tok)
-		}
+	var parts []string
+	for _, ax := range m.declaredAxes() {
+		parts = append(parts, ax.prefix+ax.token(c))
 	}
 	return strings.Join(parts, "_")
 }
@@ -537,12 +452,11 @@ func (m *Manifest) CellID(c Cell) string {
 // sharing a GroupKey differ only in the compare-axis value (and seed/repeat)
 // and are compared against each other by the pass criteria.
 func (m *Manifest) GroupKey(c Cell) string {
-	parts := []string{}
-	for _, axis := range m.declaredAxes() {
-		if axis == m.Pass.CompareAxis {
-			continue
+	var parts []string
+	for _, ax := range m.declaredAxes() {
+		if ax.name != m.Pass.CompareAxis {
+			parts = append(parts, ax.token(c))
 		}
-		parts = append(parts, c.axisToken(axis))
 	}
 	if len(parts) == 0 {
 		return "all"

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,16 +164,21 @@ func TestCellsFaultAxisRoutesThroughEngine(t *testing.T) {
 	}
 }
 
-// TestInTreeGridsParse pins that every committed grid manifest, the paper
-// grids included, parses and validates.
-func TestInTreeGridsParse(t *testing.T) {
+// inTreeGrids lists every committed grid manifest, the paper grids included.
+func inTreeGrids(t *testing.T) []string {
+	t.Helper()
 	grids, err := filepath.Glob("../../scripts/experiments/*.json")
 	paper, _ := filepath.Glob("../../scripts/paper/*.json")
 	if err != nil || len(grids) == 0 || len(paper) == 0 {
 		t.Fatalf("no in-tree grids found: %v", err)
 	}
-	grids = append(grids, paper...)
-	for _, g := range grids {
+	return append(grids, paper...)
+}
+
+// TestInTreeGridsParse pins that every committed grid manifest, the paper
+// grids included, parses and validates.
+func TestInTreeGridsParse(t *testing.T) {
+	for _, g := range inTreeGrids(t) {
 		data, err := os.ReadFile(g)
 		if err != nil {
 			t.Fatal(err)
@@ -180,4 +187,51 @@ func TestInTreeGridsParse(t *testing.T) {
 			t.Errorf("%s: %v", filepath.Base(g), err)
 		}
 	}
+}
+
+// allAxesGrid declares every axis with two values, so the cell golden
+// covers the axes no in-tree grid declares (and a fault-free schedule after
+// a faulted one, which must still read "none").
+const allAxesGrid = `{
+	"name": "all-axes",
+	"hypothesis": "every axis expands in table order",
+	"type": "deterministic",
+	"seeds": [1],
+	"axes": {"circuit": ["rand:7:6x24x4"], "workers": [1, 2], "incremental": [false, true],
+	         "cache": ["cold", "warm"], "faults": ["journal.append:err=eio", ""],
+	         "basis": ["columns", "asso"], "weighted": [false, true]},
+	"pass": {"kind": "equal", "compare_axis": "cache"}
+}`
+
+// TestInTreeGridCells pins how every committed grid (and allAxesGrid)
+// expands: the compare axis's tokens and, per cell in order, its ID, group
+// key, compare-axis token and JSON. Run folders, summaries and committed
+// provenance all key on these, so a change to the axis code must leave the
+// golden as it is.
+func TestInTreeGridCells(t *testing.T) {
+	var b strings.Builder
+	expand := func(name string, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		axis := m.Pass.CompareAxis
+		fmt.Fprintf(&b, "== %s\ncompare %q: %q\n", name, axis, m.axisTokens(axis))
+		for _, c := range m.Cells() {
+			js, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s group=%s token=%q %s\n", m.CellID(c), m.GroupKey(c), c.axisToken(axis), js)
+		}
+	}
+	expand("all-axes", []byte(allAxesGrid))
+	for _, g := range inTreeGrids(t) {
+		data, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expand(filepath.Base(filepath.Dir(g))+"/"+filepath.Base(g), data)
+	}
+	checkGolden(t, "grid_cells.golden", b.String())
 }

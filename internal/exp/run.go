@@ -54,8 +54,8 @@ type Row struct {
 	// Evals counts candidate QoR evaluations (pipeline histogram delta).
 	Evals int `json:"evals"`
 	// EvalSeconds is the summed latency of those evaluations; EvalsPerSec
-	// is Evals/EvalSeconds — pure evaluation throughput, the
-	// candidate-evals/sec of BENCH_<date>.json.
+	// is Evals/EvalSeconds — evaluation throughput alone, without the
+	// profiling, commit and bookkeeping time WallSeconds also counts.
 	EvalSeconds float64 `json:"eval_seconds"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
 	// BestError and NormArea describe the circuit the run returned (the

@@ -103,24 +103,15 @@ type Summary struct {
 	byCell map[string][]Row
 }
 
-// rowCell reconstructs the axis-token view of a row's cell.
-func rowCell(r Row) Cell {
-	return Cell{
-		Circuit:     r.Circuit,
-		Workers:     r.Workers,
-		Incremental: r.Incremental,
-		Cache:       r.Cache,
-		FaultsLabel: r.Faults,
-		Basis:       r.Basis,
-		Weighted:    r.Weighted,
-	}
-}
-
 // Summarize evaluates a grid's rows: per-cell mean/min/max aggregates plus
 // the manifest's pass criterion (per-seed ratio comparisons, per-seed
 // byte-identity, or the paper criteria). It is a pure function of
 // (manifest, rows), so summaries regenerate exactly from committed raw rows.
 func Summarize(m *Manifest, rows []Row) *Summary {
+	cells := map[string]Cell{}
+	for _, c := range m.Cells() {
+		cells[m.CellID(c)] = c
+	}
 	byCell := map[string][]Row{}
 	s := &Summary{byCell: byCell}
 	var cellOrder []string
@@ -132,11 +123,10 @@ func Summarize(m *Manifest, rows []Row) *Summary {
 	}
 	for _, id := range cellOrder {
 		cellRows := byCell[id]
-		c := rowCell(cellRows[0])
 		cs := CellSummary{
 			Cell:      id,
-			Group:     m.GroupKey(c),
-			AxisValue: c.axisToken(m.Pass.CompareAxis),
+			Group:     m.GroupKey(cells[id]),
+			AxisValue: cells[id].axisToken(m.Pass.CompareAxis),
 			N:         len(cellRows),
 			Metrics:   map[string]Stat{},
 		}
@@ -155,60 +145,49 @@ func Summarize(m *Manifest, rows []Row) *Summary {
 		s.Cells = append(s.Cells, cs)
 	}
 
+	// Every pass kind is a list of checks; the grid passes when there is at
+	// least one and all of them hold.
+	var holds []bool
+	var criterion, checks string
+	var failing []string
 	switch m.Pass.Kind {
 	case KindRatio:
-		s.Comparisons = compareRatios(m, rows)
-		s.Pass = len(s.Comparisons) > 0
-		passed := 0
+		s.Comparisons = compareRatios(m, rows, cells)
 		for _, c := range s.Comparisons {
-			if c.Pass {
-				passed++
-			} else {
-				s.Pass = false
-			}
+			holds = append(holds, c.Pass)
 		}
-		verb := "FAIL"
-		if s.Pass {
-			verb = "PASS"
-		}
-		s.Verdict = fmt.Sprintf("%s (ratio on %s): %d/%d comparisons hold on all seeds (direction %s, min per-seed ratio %.2f)",
-			verb, m.Pass.Metric, passed, len(s.Comparisons), m.Pass.Direction, m.Pass.MinRatio)
+		criterion = "ratio on " + m.Pass.Metric
+		checks = fmt.Sprintf("comparisons hold on all seeds (direction %s, min per-seed ratio %.2f)", m.Pass.Direction, m.Pass.MinRatio)
 	case KindEqual:
-		s.Equal = compareEqual(m, rows)
-		s.Pass = len(s.Equal) > 0
-		identical := 0
+		s.Equal = compareEqual(m, rows, cells)
 		for _, e := range s.Equal {
-			if e.Pass {
-				identical++
-			} else {
-				s.Pass = false
-			}
+			holds = append(holds, e.Pass)
 		}
-		verb := "FAIL"
-		if s.Pass {
-			verb = "PASS"
-		}
-		s.Verdict = fmt.Sprintf("%s (byte-identity across %s): %d/%d (group, seed) checks byte-identical",
-			verb, m.Pass.CompareAxis, identical, len(s.Equal))
+		criterion, checks = "byte-identity across "+m.Pass.CompareAxis, "(group, seed) checks byte-identical"
 	case KindPaper:
 		s.Paper = checkPaper(s.Cells, byCell)
-		s.Pass = len(s.Paper) > 0
-		var failing []string
 		for _, c := range s.Paper {
+			holds = append(holds, c.Pass)
 			if !c.Pass {
-				s.Pass = false
 				failing = append(failing, c.Cell+" "+c.Criterion)
 			}
 		}
-		verb := "FAIL"
-		if s.Pass {
-			verb = "PASS"
+		criterion, checks = "paper criteria", "(cell, criterion) checks hold on every seed"
+	}
+	passed := 0
+	for _, ok := range holds {
+		if ok {
+			passed++
 		}
-		s.Verdict = fmt.Sprintf("%s (paper criteria): %d/%d (cell, criterion) checks hold on every seed",
-			verb, len(s.Paper)-len(failing), len(s.Paper))
-		if len(failing) > 0 {
-			s.Verdict += "; failing: " + strings.Join(failing, ", ")
-		}
+	}
+	s.Pass = len(holds) > 0 && passed == len(holds)
+	verb := "FAIL"
+	if s.Pass {
+		verb = "PASS"
+	}
+	s.Verdict = fmt.Sprintf("%s (%s): %d/%d %s", verb, criterion, passed, len(holds), checks)
+	if len(failing) > 0 {
+		s.Verdict += "; failing: " + strings.Join(failing, ", ")
 	}
 	return s
 }
@@ -226,14 +205,13 @@ func distinctHashes(rows []Row) []string {
 }
 
 // meanMetric averages the metric over a cell's repeats for one seed.
-func meanMetric(rows []Row, metric string, token string, seed int64, m *Manifest) (float64, bool) {
+func meanMetric(rows []Row, cells map[string]Cell, m *Manifest, token string, seed int64) (float64, bool) {
 	var vals []float64
 	for _, r := range rows {
-		c := rowCell(r)
-		if r.Seed != seed || c.axisToken(m.Pass.CompareAxis) != token {
+		if r.Seed != seed || cells[r.Cell].axisToken(m.Pass.CompareAxis) != token {
 			continue
 		}
-		v, err := r.Metric(metric)
+		v, err := r.Metric(m.Pass.Metric)
 		if err != nil {
 			return 0, false
 		}
@@ -245,11 +223,11 @@ func meanMetric(rows []Row, metric string, token string, seed int64, m *Manifest
 	return computeStat(vals).Mean, true
 }
 
-func compareRatios(m *Manifest, rows []Row) []Comparison {
+func compareRatios(m *Manifest, rows []Row, cells map[string]Cell) []Comparison {
 	byGroup := map[string][]Row{}
 	var groupOrder []string
 	for _, r := range rows {
-		g := m.GroupKey(rowCell(r))
+		g := m.GroupKey(cells[r.Cell])
 		if _, ok := byGroup[g]; !ok {
 			groupOrder = append(groupOrder, g)
 		}
@@ -268,8 +246,8 @@ func compareRatios(m *Manifest, rows []Row) []Comparison {
 			cmp := Comparison{Group: g, Variant: variant, Metric: m.Pass.Metric, Directional: true, Pass: true}
 			minEffect, maxEffect := 0.0, 0.0
 			for i, seed := range m.Seeds {
-				base, okB := meanMetric(grows, m.Pass.Metric, m.Pass.Baseline, seed, m)
-				varv, okV := meanMetric(grows, m.Pass.Metric, variant, seed, m)
+				base, okB := meanMetric(grows, cells, m, m.Pass.Baseline, seed)
+				varv, okV := meanMetric(grows, cells, m, variant, seed)
 				sr := SeedRatio{Seed: seed, Baseline: base, Variant: varv}
 				if okB && okV && base > 0 && varv > 0 {
 					if m.Pass.Direction == "down" {
@@ -317,7 +295,7 @@ func compareRatios(m *Manifest, rows []Row) []Comparison {
 	return out
 }
 
-func compareEqual(m *Manifest, rows []Row) []EqualCheck {
+func compareEqual(m *Manifest, rows []Row, cells map[string]Cell) []EqualCheck {
 	type key struct {
 		group string
 		seed  int64
@@ -325,7 +303,7 @@ func compareEqual(m *Manifest, rows []Row) []EqualCheck {
 	byKey := map[key][]Row{}
 	var order []key
 	for _, r := range rows {
-		k := key{m.GroupKey(rowCell(r)), r.Seed}
+		k := key{m.GroupKey(cells[r.Cell]), r.Seed}
 		if _, ok := byKey[k]; !ok {
 			order = append(order, k)
 		}

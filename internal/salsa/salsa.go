@@ -31,6 +31,7 @@ import (
 
 	"github.com/blasys-go/blasys/internal/logic"
 	"github.com/blasys-go/blasys/internal/qor"
+	"github.com/blasys-go/blasys/internal/sched"
 	"github.com/blasys-go/blasys/internal/synth"
 	"github.com/blasys-go/blasys/internal/tt"
 )
@@ -44,16 +45,16 @@ type Config struct {
 	// Samples is the Monte-Carlo sample count for QoR checks.
 	Samples int
 	Seed    int64
-	// MaxConeInputs bounds the resynthesis window (default 10, mirroring
-	// the BLASYS k).
-	MaxConeInputs int
-	// MaxPasses bounds the greedy sweeps over all outputs (default 3).
-	MaxPasses int
-	// Parallelism bounds candidate evaluation concurrency (0 = GOMAXPROCS).
-	Parallelism int
 	// Sequence, when non-nil, evaluates QoR with accumulator feedback.
 	Sequence *qor.Sequence
 }
+
+const (
+	// maxConeInputs bounds the resynthesis window, mirroring the BLASYS k.
+	maxConeInputs = 10
+	// maxPasses bounds the greedy sweeps over all outputs.
+	maxPasses = 3
+)
 
 func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
@@ -61,15 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Samples == 0 {
 		c.Samples = 1 << 16
-	}
-	if c.MaxConeInputs == 0 {
-		c.MaxConeInputs = 10
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 3
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -98,16 +90,21 @@ func Approximate(c *logic.Circuit, spec qor.OutputSpec, cfg Config) (*Result, er
 	accepted := 0
 	lastReport := qor.Report{Samples: eval.Samples()}
 
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, o := range order {
-			cands := candidates(cur, o, cfg)
+			cands := candidates(cur, o)
 			if len(cands) == 0 {
 				continue
 			}
+			// Each candidate's report lands in its own slot; the sweep's
+			// extra workers draw on the machine-wide goroutine budget.
 			reports := make([]qor.Report, len(cands))
 			errs := make([]error, len(cands))
-			evalAll(cands, reports, errs, eval, cfg.Parallelism)
+			sched.Claim(runtime.GOMAXPROCS(0), len(cands), func(_, i int) bool {
+				reports[i], errs[i] = eval.Compare(cands[i])
+				return true
+			})
 			// Accept the smallest candidate within threshold.
 			bestIdx, bestGates := -1, cur.NumGates()
 			for i, cand := range cands {
@@ -133,21 +130,6 @@ func Approximate(c *logic.Circuit, spec qor.OutputSpec, cfg Config) (*Result, er
 		}
 	}
 	return &Result{Circuit: cur, Report: lastReport, Accepted: accepted}, nil
-}
-
-func evalAll(cands []*logic.Circuit, reports []qor.Report, errs []error, eval qor.Comparer, par int) {
-	sem := make(chan struct{}, par)
-	done := make(chan int, len(cands))
-	for i := range cands {
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; done <- i }()
-			reports[i], errs[i] = eval.Compare(cands[i])
-		}(i)
-	}
-	for range cands {
-		<-done
-	}
 }
 
 // outputOrder lists output indices least-significant first within each
@@ -180,7 +162,7 @@ func outputOrder(c *logic.Circuit, spec qor.OutputSpec) []int {
 
 // candidates builds the transform candidates for output o on the current
 // circuit. Every candidate is a complete swept circuit.
-func candidates(cur *logic.Circuit, o int, cfg Config) []*logic.Circuit {
+func candidates(cur *logic.Circuit, o int) []*logic.Circuit {
 	var out []*logic.Circuit
 	driver := cur.Outputs[o]
 	if cur.Nodes[driver].Op == logic.Const0 || cur.Nodes[driver].Op == logic.Const1 {
@@ -193,7 +175,7 @@ func candidates(cur *logic.Circuit, o int, cfg Config) []*logic.Circuit {
 		out = append(out, logic.Sweep(cc))
 	}
 	// Cone resynthesis under don't-cares.
-	leaves, ok := coneWindow(cur, driver, cfg.MaxConeInputs)
+	leaves, ok := coneWindow(cur, driver, maxConeInputs)
 	if !ok {
 		return out
 	}
@@ -272,7 +254,8 @@ func coneWindow(c *logic.Circuit, driver logic.NodeID, maxInputs int) ([]logic.N
 }
 
 // coneTable computes the root's function over the window leaves by
-// simulating the cone with counting patterns on the leaves.
+// simulating the cone with counting patterns (logic.CountingWords) on the
+// leaves.
 func coneTable(c *logic.Circuit, root logic.NodeID, leaves []logic.NodeID) *tt.Table {
 	k := len(leaves)
 	table := tt.NewTable(k)
@@ -281,11 +264,12 @@ func coneTable(c *logic.Circuit, root logic.NodeID, leaves []logic.NodeID) *tt.T
 	for i, l := range leaves {
 		leafPos[l] = i
 	}
+	leafWords := make([]uint64, k)
 	words := make(map[logic.NodeID]uint64, 64)
-	var eval func(id logic.NodeID, base int) uint64
-	eval = func(id logic.NodeID, base int) uint64 {
+	var eval func(id logic.NodeID) uint64
+	eval = func(id logic.NodeID) uint64 {
 		if p, ok := leafPos[id]; ok {
-			return countingWord(p, base)
+			return leafWords[p]
 		}
 		if w, ok := words[id]; ok {
 			return w
@@ -302,12 +286,12 @@ func coneTable(c *logic.Circuit, root logic.NodeID, leaves []logic.NodeID) *tt.T
 			// stops at inputs.
 			panic(fmt.Sprintf("salsa: cone evaluation reached non-leaf input %d", id))
 		}
-		a = eval(n.Fanin[0], base)
+		a = eval(n.Fanin[0])
 		if n.Nfanin > 1 {
-			bb = eval(n.Fanin[1], base)
+			bb = eval(n.Fanin[1])
 		}
 		if n.Nfanin > 2 {
-			s = eval(n.Fanin[2], base)
+			s = eval(n.Fanin[2])
 		}
 		w := n.Op.Eval(a, bb, s)
 		words[id] = w
@@ -318,7 +302,8 @@ func coneTable(c *logic.Circuit, root logic.NodeID, leaves []logic.NodeID) *tt.T
 		for id := range words {
 			delete(words, id)
 		}
-		w := eval(root, base)
+		logic.CountingWords(base, leafWords)
+		w := eval(root)
 		limit := rows - base
 		if limit > 64 {
 			limit = 64
@@ -330,21 +315,6 @@ func coneTable(c *logic.Circuit, root logic.NodeID, leaves []logic.NodeID) *tt.T
 		}
 	}
 	return table
-}
-
-func countingWord(i, base int) uint64 {
-	if i < 6 {
-		var pat uint64
-		block := uint(1) << uint(i)
-		for b := uint(0); b < 64; b += 2 * block {
-			pat |= ((uint64(1) << block) - 1) << (b + block)
-		}
-		return pat
-	}
-	if (base>>uint(i))&1 == 1 {
-		return ^uint64(0)
-	}
-	return 0
 }
 
 // isolationDC selects up to frac*2^k minterms as don't-cares, preferring

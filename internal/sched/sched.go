@@ -1,8 +1,9 @@
 // Package sched provides the machine-wide goroutine budget shared by every
 // parallel fan-out in the flow: block profiling and the explorer's per-step
 // candidate sweep (internal/core), the BMF tau sweep (internal/bmf), the
-// batches of each committed step (qor.IncrementalComparer.Commit), and any
-// future data-parallel stage. Claim is the claim-and-spawn loop all but the
+// batches of each committed step (qor.IncrementalComparer.Commit), the SALSA
+// baseline's candidate evaluation (internal/salsa), and any future
+// data-parallel stage. Claim is the claim-and-spawn loop all but the
 // tau sweep share. The flow's parallelism nests — engine workers run
 // jobs whose profiling is parallel across blocks, each block factorization
 // sweeps taus in parallel, and each exploration step sweeps candidates in

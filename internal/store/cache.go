@@ -30,8 +30,7 @@ import (
 type DiskCache struct {
 	dir string
 	log *slog.Logger
-	// st backs the retry/degraded/fault plumbing; nil for a cache built
-	// outside a store (then puts are single-shot and faults never fire).
+	// st backs the retry/degraded/fault plumbing.
 	st *Store
 
 	hits, misses, entries atomic.Uint64
@@ -77,11 +76,9 @@ func (c *DiskCache) Get(k bmf.Key) (any, bool) {
 }
 
 func (c *DiskCache) get(k bmf.Key) (any, bool) {
-	if c.st != nil {
-		if err := c.st.injector().Fire(faults.OpCacheRead); err != nil {
-			c.misses.Add(1)
-			return nil, false
-		}
+	if err := c.st.injector().Fire(faults.OpCacheRead); err != nil {
+		c.misses.Add(1)
+		return nil, false
 	}
 	b, err := os.ReadFile(c.path(k))
 	if err != nil {
@@ -131,11 +128,9 @@ func (c *DiskCache) Put(k bmf.Key, v any) {
 	// The fill retries like other store I/O but never trips the breaker —
 	// and while the store is degraded, fills are skipped entirely (the
 	// memory layer above still serves this process).
-	write := func() error {
-		if c.st != nil {
-			if err := c.st.injector().Fire(faults.OpCacheWrite); err != nil {
-				return err
-			}
+	err := c.st.withRetry("cache_write", false, func() error {
+		if err := c.st.injector().Fire(faults.OpCacheWrite); err != nil {
+			return err
 		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
@@ -143,13 +138,7 @@ func (c *DiskCache) Put(k bmf.Key, v any) {
 		return WriteFileAtomic(path, false, func(w io.Writer) error {
 			return json.NewEncoder(w).Encode(&e)
 		})
-	}
-	var err error
-	if c.st != nil {
-		err = c.st.withRetry("cache_write", false, write)
-	} else {
-		err = write()
-	}
+	})
 	if err != nil {
 		// Degraded drops are expected in bulk and already counted; one warn
 		// per skipped fill would drown the log.
@@ -183,26 +172,10 @@ type TieredCache struct {
 	hits, misses atomic.Uint64
 }
 
-// NewTieredCache layers mem (nil = fresh MemoryCache) over disk.
-func NewTieredCache(mem *bmf.MemoryCache, disk *DiskCache) (*TieredCache, error) {
-	if disk == nil {
-		return nil, errors.New("store: tiered cache needs a disk layer")
-	}
-	if mem == nil {
-		mem = bmf.NewMemoryCache()
-	}
-	return &TieredCache{mem: mem, disk: disk}, nil
-}
-
 // TieredCache returns the store's ready-to-use two-layer factorization
 // cache (fresh memory layer over the store's disk layer).
 func (s *Store) TieredCache() *TieredCache {
-	tc, err := NewTieredCache(nil, s.DiskCache())
-	if err != nil {
-		// Unreachable: DiskCache is never nil.
-		panic(fmt.Sprintf("store: %v", err))
-	}
-	return tc
+	return &TieredCache{mem: bmf.NewMemoryCache(), disk: s.DiskCache()}
 }
 
 // Get hits the memory layer, then the disk layer (promoting into memory).
